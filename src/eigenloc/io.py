@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -116,6 +117,8 @@ def _mm_entries(path):
             w = float(toks[2])
         except ValueError:
             raise ParseError(f"bad entry {s!r}", line=lineno) from None
+        if not math.isfinite(w):
+            raise ParseError(f"non-finite value {toks[2]!r}", line=lineno)
         if field == "integer" and float(int(float(toks[2]))) != w:
             raise ParseError("non-integer value in integer matrix", line=lineno)
         if not (1 <= i <= n and 1 <= j <= n):

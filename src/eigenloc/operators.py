@@ -51,6 +51,10 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=np.float64).ravel()
         if not (i.size == j.size == w.size):
             raise SizeMismatch("edge arrays have different lengths")
+        finite = np.isfinite(w)
+        if not finite.all():
+            e = int(np.argmax(~finite))
+            raise InputError(f"non-finite weight on edge ({int(i[e])}, {int(j[e])})")
         if np.any(w < 0):
             e = int(np.argmax(w < 0))
             raise NegativeWeight(int(i[e]), int(j[e]))

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import numpy as np
+import scipy.sparse.linalg as spla
+
 from eigenloc import (
     PathRandom,
     TwoLevelSpec,
@@ -10,8 +13,10 @@ from eigenloc import (
     generate_bead_chain,
     parse_graph,
     save_spec,
+    write_graph,
 )
 from eigenloc.errors import ConvergenceFailure
+from helpers import path_graph
 
 
 CHAIN = TwoLevelSpec(
@@ -156,6 +161,13 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert cli.main(["ipr", str(missing)]) == 2
 
 
+def test_nonfinite_weight_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 nan\n")
+    assert cli.main(["ipr", str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_rank_out_of_range_exits_2(chain_files, capsys):
     graph_path, _ = chain_files
     assert cli.main(["csl", str(graph_path), "--rank", "2", "--k", "2"]) == 2
@@ -171,3 +183,17 @@ def test_numerical_failure_exits_3(chain_files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "spectrum_random_walk", boom)
     assert cli.main(["ipr", str(graph_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_partial_arpack_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    # above the dense limit analyze takes the ARPACK route
+    graph_path = tmp_path / "path.mtx"
+    write_graph(path_graph(5002), graph_path)
+
+    def stalled(A, k, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", np.array([1.0, 0.9]), np.zeros((A.shape[0], 2)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    rc = cli.main(["analyze", str(graph_path), "--out", str(tmp_path / "report")])
+    assert rc == 3
+    assert "eigenpair 2 failed" in capsys.readouterr().err

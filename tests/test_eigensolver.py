@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from eigenloc import (
+    PathRandom,
+    TwoLevelSpec,
+    TwoModuleBead,
     WeightedGraph,
     generalized_laplacian_eigs,
+    generate_bead_chain,
+    generate_two_module,
     normalized_adjacency,
     normalized_square_spectrum,
     random_walk,
     spectrum_random_walk,
+    tensor_block,
 )
-from eigenloc.errors import AllZeroSpectrum, InputError, IsolatedNode
+from eigenloc.errors import AllZeroSpectrum, ConvergenceFailure, InputError, IsolatedNode
 from helpers import complete_graph, path_graph, random_connected_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -184,3 +192,104 @@ def test_normalized_square_spectrum_errors():
         normalized_square_spectrum([0.0, 0.0])
     with pytest.raises(InputError):
         normalized_square_spectrum([])
+
+
+# ---------------------------------------------------------------- routes
+# A graph of n >= 1000 nodes solved for k <= n/8 takes the LAPACK subset
+# route; k = n takes the full route and serves as the reference.
+
+def bead_chain_1000(seed=3):
+    bead = TwoModuleBead(100, 100, 0.2, 0.02)
+    return generate_bead_chain(TwoLevelSpec((bead,) * 5, PathRandom(0.002), seed=seed))
+
+
+def two_module_325():
+    return generate_two_module(163, 162, 0.2, 0.05, seed=14)
+
+
+def assert_same_spectrum(head, full):
+    k = head.k
+    assert np.abs(head.lambdas - full.lambdas[:k]).max() <= 1e-12
+    assert np.array_equal(head.clusters, full.clusters[:k])
+    assert np.array_equal(head.degenerate, full.degenerate[:k])
+
+
+def test_subset_route_is_taken_only_for_large_n_small_k(monkeypatch):
+    calls = []
+    real = sla.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", spy)
+    g = bead_chain_1000()
+    spectrum_random_walk(g, k=125)
+    assert calls == [[874, 999]]  # k + 1 = 126 columns
+    spectrum_random_walk(g, k=126)  # 8k > n: full route
+    spectrum_random_walk(path_graph(999), k=3)  # n below the floor
+    assert len(calls) == 1
+
+
+def test_subset_route_matches_full_route_on_bead_chain():
+    g = bead_chain_1000()
+    full = spectrum_random_walk(g)
+    head = spectrum_random_walk(g, k=20)
+    assert_same_spectrum(head, full)
+    assert not head.degenerate.any()
+    for j in range(head.k):
+        a, b = head.vectors[:, j], full.vectors[:, j]
+        assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-8
+    # the Lanczos route agrees on a graph without repeated eigenvalues
+    lanczos = spectrum_random_walk(g, k=20, dense_limit=10)
+    assert np.abs(lanczos.lambdas - head.lambdas).max() <= 1e-9
+    assert np.array_equal(lanczos.clusters, head.clusters)
+    assert np.array_equal(lanczos.degenerate, head.degenerate)
+
+
+def test_subset_route_keeps_multiplicities_of_tensor_block():
+    g = tensor_block(4, two_module_325())
+    full = spectrum_random_walk(g)
+    head = spectrum_random_walk(g, k=12)
+    assert_same_spectrum(head, full)
+    assert np.bincount(head.clusters).tolist() == [4, 4, 4]
+    G = head.vectors.T @ (g.degrees[:, None] * head.vectors)
+    across = head.clusters[:, None] != head.clusters[None, :]
+    assert np.abs(G[across]).max() <= 1e-12 * g.degrees.max()
+
+
+def test_subset_route_deterministic_bitwise():
+    g = bead_chain_1000(seed=4)
+    a = spectrum_random_walk(g, k=10)
+    b = spectrum_random_walk(g, k=10)
+    assert np.array_equal(a.lambdas, b.lambdas)
+    assert np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("base", [lambda: path_graph(6), two_module_325], ids=["full", "subset"])
+def test_degenerate_flag_not_cut_off_at_k(base):
+    # ranks 0-3 and 4-7 are 4-fold clusters; k = 5 cuts the second one
+    g = tensor_block(4, base())
+    basis = spectrum_random_walk(g, k=5)
+    assert basis.degenerate.tolist() == [True] * 5
+    assert basis.clusters.tolist() == [0, 0, 0, 0, 1]
+    assert basis.gaps.shape == (4,)
+
+
+def test_partial_arpack_convergence_is_a_convergence_failure(monkeypatch):
+    def stalled(A, k, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", np.array([1.0, 0.9]), np.zeros((A.shape[0], 2)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(path_graph(30), k=4, dense_limit=10)
+    assert exc.value.rank == 2
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    def junk(A):
+        return np.ones(A.shape[0]), np.full(A.shape, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigh", junk)
+    with pytest.raises(ConvergenceFailure):
+        spectrum_random_walk(path_graph(4))

@@ -95,6 +95,19 @@ def test_parse_rejections(tmp_path):
         )
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_parse_rejects_nonfinite_values(tmp_path, token):
+    body = f"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 {token}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_graph(mm(tmp_path, body))
+    assert exc.value.line == 4
+    flows = f"%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 {token}\n"
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n")
+    with pytest.raises(ParseError):
+        parse_migration(mm(tmp_path, flows, "flows.mtx"), pops)
+
+
 def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_graph(mm(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n"))

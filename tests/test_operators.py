@@ -100,6 +100,12 @@ def test_graph_rejects_negative_weight():
         WeightedGraph.from_edges(2, [(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_nonfinite_weight(w):
+    with pytest.raises(InputError, match="non-finite"):
+        WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, w)])
+
+
 def test_graph_rejects_self_loop():
     with pytest.raises(InputError):
         WeightedGraph.from_edges(2, [(1, 1, 1.0)])
