@@ -21,7 +21,7 @@ from .clustering import (
 from .diagnostics import DEFAULT_K, analyze
 from .eigensolver import spectrum_random_walk
 from .errors import InputError, IoError, MissingLabels, NumericalError
-from .localization import csl, ipr_curve
+from .localization import ipr_curve
 from .twolevel import generate_bead_chain
 from .operators import migration_similarity
 
@@ -90,11 +90,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_ipr(args) -> int:
     g = _load_graph(args)
     basis = spectrum_random_walk(g, args.k if args.k is not None else _default_k(g.n))
-    curve = ipr_curve(basis)
-    lines = ["rank,eigenvalue,ipr,degenerate_flag"]
-    for (j, lam, score), deg in zip(curve.entries, basis.degenerate):
-        lines.append(f"{j},{eio._fmt(lam)},{eio._fmt(score)},{int(deg)}")
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit_text(eio.ipr_csv(ipr_curve(basis), basis.degenerate), args.out)
     return 0
 
 
@@ -104,12 +100,7 @@ def _cmd_csl(args) -> int:
     basis = spectrum_random_walk(g, k)
     if not 0 <= args.rank < basis.k:
         raise InputError(f"rank {args.rank} outside computed range 0..{basis.k - 1}")
-    v = basis.vectors[:, args.rank]
-    scores = csl(v, args.rank).scores
-    lines = ["node,value,csl"]
-    for node in range(g.n):
-        lines.append(f"{node},{eio._fmt(v[node])},{eio._fmt(scores[node])}")
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit_text(eio.eigvec_csv(basis.vectors[:, args.rank]), args.out)
     return 0
 
 

@@ -8,9 +8,10 @@ byte-identical.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     NegativeWeight,
     ParseError,
 )
-from .localization import csl
+from .localization import IPRCurve, csl
 from .operators import MigrationInput, WeightedGraph
 from .twolevel import (
     Bead,
@@ -39,34 +40,45 @@ from .twolevel import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _format_rows(template: str, *columns) -> str:
+    """Format parallel columns, one `template` (e.g. "%d,%.17g\\n") per row.
+
+    The whole body is one %-operation over the row-major flattened values.
+    %.17g prints a float exactly as format(x, ".17g") does.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if not cols:
+        return ""
+    rows, width = len(cols[0]), len(cols)
+    flat = [None] * (rows * width)
+    for c, col in enumerate(cols):
+        flat[c::width] = col
+    return (template * rows) % tuple(flat)
 
 
 # ---------------------------------------------------------------- graphs
 
 def write_graph(g: WeightedGraph, path) -> None:
     """Symmetric coordinate MatrixMarket, lower triangle, 1-based."""
-    lines = ["%%MatrixMarket matrix coordinate real symmetric"]
-    lines.append(f"{g.n} {g.n} {g.edge_count}")
-    for i, j, w in zip(g.rows, g.cols, g.weights):
-        lines.append(f"{j + 1} {i + 1} {_fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        f"{g.n} {g.n} {g.edge_count}\n"
+        + _format_rows("%d %d %.17g\n", g.cols + 1, g.rows + 1, g.weights)
+    )
 
 
 def write_labels(g: WeightedGraph, path) -> None:
     """CSV sidecar: node_id,group_id[,subgroup_id]; 0-based node ids."""
     if g.labels is None:
         raise InputError("graph carries no labels to write")
-    with_sub = g.sublabels is not None
-    lines = ["node_id,group_id,subgroup_id" if with_sub else "node_id,group_id"]
-    for v in sorted(g.labels):
-        row = f"{v},{g.labels[v]}"
-        if with_sub:
-            sub = g.sublabels.get(v)
-            row += f",{sub if sub is not None else ''}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    nodes = sorted(g.labels)
+    groups = [g.labels[v] for v in nodes]
+    if g.sublabels is None:
+        text = "node_id,group_id\n" + _format_rows("%d,%d\n", nodes, groups)
+    else:
+        subs = [g.sublabels.get(v, "") for v in nodes]
+        text = "node_id,group_id,subgroup_id\n" + _format_rows("%d,%d,%s\n", nodes, groups, subs)
+    Path(path).write_text(text)
 
 
 def _mm_header(lines: list[str], path) -> tuple[str, str]:
@@ -85,38 +97,55 @@ def _mm_header(lines: list[str], path) -> tuple[str, str]:
     return field, symmetry
 
 
-def _mm_entries(path):
-    """-> (n, symmetry, field, [(lineno, i, j, w)]) with 0-based i, j."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+def _blank_or_comment(line: str) -> bool:
+    s = line.strip()
+    return not s or s.startswith("%")
+
+
+def _mm_preamble(lines: list[str], path):
+    """Header and size line -> (field, symmetry, n, m, line number of the size line)."""
     field, symmetry = _mm_header(lines, path)
-    n = m = None
-    entries = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        s = raw.strip()
-        if not s or s.startswith("%"):
+        if _blank_or_comment(raw):
             continue
-        toks = s.split()
-        if n is None:
-            if len(toks) != 3:
-                raise ParseError("expected 'rows cols nnz'", line=lineno)
-            try:
-                r, c, m = (int(t) for t in toks)
-            except ValueError:
-                raise ParseError("non-integer size line", line=lineno) from None
-            if r != c:
-                raise ParseError(f"matrix must be square, got {r}x{c}", line=lineno)
-            if r < 1:
-                raise ParseError("empty matrix", line=lineno)
-            n = r
+        toks = raw.split()
+        if len(toks) != 3:
+            raise ParseError("expected 'rows cols nnz'", line=lineno)
+        try:
+            r, c, m = (int(t) for t in toks)
+        except ValueError:
+            raise ParseError("non-integer size line", line=lineno) from None
+        if r != c:
+            raise ParseError(f"matrix must be square, got {r}x{c}", line=lineno)
+        if r < 1:
+            raise ParseError("empty matrix", line=lineno)
+        return field, symmetry, r, m, lineno
+    raise ParseError("missing size line", line=len(lines))
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+# Data lines made of these characters alone split and convert the same way
+# in np.loadtxt as in str.split, int and float; any other character (a
+# comment, "nan", "1_0", a form feed that splitlines breaks on) is left to
+# the line scan.
+_PLAIN = str.maketrans("", "", "0123456789+-.eE \t\n")
+
+
+def _mm_scan(lines: list[str], path):
+    """_mm_entries one line at a time: the first bad line raises."""
+    field, symmetry, n, m, size_line = _mm_preamble(lines, path)
+    entries = []
+    for lineno, raw in enumerate(lines[size_line:], start=size_line + 1):
+        if _blank_or_comment(raw):
             continue
+        toks = raw.split()
         if len(toks) != 3:
             raise ParseError("expected 'i j value'", line=lineno)
         try:
             i, j = int(toks[0]), int(toks[1])
             w = float(toks[2])
         except ValueError:
-            raise ParseError(f"bad entry {s!r}", line=lineno) from None
+            raise ParseError(f"bad entry {raw.strip()!r}", line=lineno) from None
         if not math.isfinite(w):
             raise ParseError(f"non-finite value {toks[2]!r}", line=lineno)
         if field == "integer" and float(int(float(toks[2]))) != w:
@@ -124,11 +153,58 @@ def _mm_entries(path):
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"index ({i}, {j}) out of range 1..{n}", line=lineno)
         entries.append((lineno, i - 1, j - 1, w))
-    if n is None:
-        raise ParseError("missing size line", line=len(lines))
     if len(entries) != m:
         raise ParseError(f"declared {m} entries, found {len(entries)}", line=len(lines))
-    return n, symmetry, field, entries
+    rec = np.array(entries, dtype=[("line", np.int64)] + _ENTRY.descr)
+    return n, symmetry, field, rec["line"], rec["i"], rec["j"], rec["w"]
+
+
+def _mm_bulk(text: str, path):
+    """_mm_entries in one np.loadtxt call, or None when only the line scan can tell."""
+    start = count = 0
+    while True:  # the header, comment lines and the size line
+        end = text.find("\n", start)
+        if end < 0:
+            return None
+        line, start, count = text[start:end], end + 1, count + 1
+        if count > 1 and not _blank_or_comment(line):
+            break
+    lines = text[:start].splitlines()
+    if len(lines) != count:
+        return None  # a line break other than "\n" in the preamble
+    field, symmetry, n, m, size_line = _mm_preamble(lines, path)
+    body = text[start:]
+    if m < 1 or body.translate(_PLAIN):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy < 2 reading "1.0" as an integer
+        try:
+            rec = np.loadtxt(io.StringIO(body), dtype=_ENTRY, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    # one entry on every line, so entry e sits on line size_line + 1 + e
+    if not rec.size == m == body.count("\n") + (not body.endswith("\n")):
+        return None
+    i, j, w = rec["i"] - 1, rec["j"] - 1, rec["w"]
+    if (
+        min(i.min(), j.min()) < 0
+        or max(i.max(), j.max()) >= n
+        or not np.isfinite(w).all()
+        or (field == "integer" and not np.array_equal(np.trunc(w), w))
+    ):
+        return None
+    return n, symmetry, field, np.arange(size_line + 1, size_line + 1 + m), i, j, w
+
+
+def _mm_entries(path):
+    """-> (n, symmetry, field, line, i, j, w): per-entry arrays, 0-based i, j.
+
+    Errors name the first bad line in file order. Valid files are read in
+    bulk; anything the bulk read cannot vouch for goes through the line scan,
+    which raises the error or builds the same arrays.
+    """
+    text = Path(path).read_text()
+    return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
 
 
 def parse_labels(path):
@@ -161,55 +237,64 @@ def parse_labels(path):
     return labels, (sublabels or None)
 
 
+def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-> (order, again): the stable lexsort of the pairs (a, b), and whether
+    each pair occurs at an earlier index."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    again = np.zeros(order.size, dtype=bool)
+    again[order[1:]] = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+    return order, again
+
+
 def parse_graph(path, label_path=None) -> WeightedGraph:
     """Read a MatrixMarket graph (symmetric or general storage).
 
     General storage may carry each undirected edge once or as a mirrored
     pair with equal weights; conflicting mirror weights are rejected.
     """
-    n, symmetry, _, entries = _mm_entries(path)
-    seen: dict[tuple[int, int], float] = {}
-    weights: dict[tuple[int, int], float] = {}
-    for lineno, i, j, w in entries:
-        if i == j:
-            raise ParseError("self-loops are not allowed", line=lineno)
-        if w < 0:
-            raise NegativeWeight(min(i, j), max(i, j))
-        if symmetry == "symmetric":
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise DuplicateEdge(*key)
-            seen[key] = w
-        else:
-            if (i, j) in seen:
-                raise DuplicateEdge(i, j)
-            seen[(i, j)] = w
-            key = (min(i, j), max(i, j))
-            if key in weights and weights[key] != w:
-                raise ParseError(
-                    f"mirrored entries for ({key[0]}, {key[1]}) disagree", line=lineno
-                )
-        weights[key] = w
-    pairs = sorted(weights)
+    n, symmetry, _, line, i, j, w = _mm_entries(path)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order, again = _repeats(lo, hi)
+    conflict = np.zeros_like(again)
+    if symmetry == "symmetric":
+        dup = again
+    else:
+        # a key's second entry is its mirror (or a duplicate, which wins)
+        dup = _repeats(i, j)[1]
+        ws = w[order]
+        conflict[order[1:]] = ws[1:] != ws[:-1]
+        conflict &= again
+    # the first bad entry in file order, its checks in this order
+    defects = np.stack([i == j, w < 0, dup, conflict])
+    if defects.any():
+        e = int(defects.any(axis=0).argmax())
+        kind = int(defects[:, e].argmax())
+        a, b = int(lo[e]), int(hi[e])
+        if kind == 0:
+            raise ParseError("self-loops are not allowed", line=int(line[e]))
+        if kind == 1:
+            raise NegativeWeight(a, b)
+        if kind == 2:
+            raise DuplicateEdge(a, b) if symmetry == "symmetric" else DuplicateEdge(int(i[e]), int(j[e]))
+        raise ParseError(f"mirrored entries for ({a}, {b}) disagree", line=int(line[e]))
     labels = sublabels = None
     if label_path is not None:
         labels, sublabels = parse_labels(label_path)
-    i = np.array([p[0] for p in pairs], dtype=np.int64)
-    j = np.array([p[1] for p in pairs], dtype=np.int64)
-    w = np.array([weights[p] for p in pairs])
-    return WeightedGraph(n, i, j, w, labels, sublabels)
+    keep = ~again
+    return WeightedGraph(n, lo[keep], hi[keep], w[keep], labels, sublabels)
 
 
 # ------------------------------------------------------------- migration
 
 def parse_migration(flows_path, populations_path) -> MigrationInput:
     """Flows as integer MatrixMarket; populations as CSV node_id,population."""
-    n, symmetry, field, entries = _mm_entries(flows_path)
+    n, symmetry, field, *entries = _mm_entries(flows_path)
     if field != "integer":
         raise ParseError("flow matrix must use the integer field", line=1)
     M = np.zeros((n, n), dtype=np.int64)
     seen = set()
-    for lineno, i, j, w in entries:
+    for lineno, i, j, w in zip(*(a.tolist() for a in entries)):
         if i == j:
             raise ParseError("self-flows are not allowed", line=lineno)
         key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
@@ -357,7 +442,7 @@ def _json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return "%.17g" % obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -366,6 +451,18 @@ def _json_text(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ipr_csv(curve: IPRCurve, degenerate) -> str:
+    """ipr.csv: rank,eigenvalue,ipr,degenerate_flag for each entry of the curve."""
+    return "rank,eigenvalue,ipr,degenerate_flag\n" + _format_rows(
+        "%d,%.17g,%.17g,%d\n", *zip(*curve.entries), degenerate
+    )
+
+
+def eigvec_csv(v: np.ndarray) -> str:
+    """eigvec_<rank>.csv: node,value,csl for each node of a unit eigenvector."""
+    return "node,value,csl\n" + _format_rows("%d,%.17g,%.17g\n", range(v.size), v, csl(v).scores)
 
 
 def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
@@ -380,36 +477,27 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
             p.write_text(text)
             written.append(p)
 
-        lines = ["rank,eigenvalue,sq_spectrum_frac"]
-        for j, lam in enumerate(report.lambdas):
-            lines.append(f"{j},{_fmt(lam)},{_fmt(report.sq_spectrum[j])}")
-        put("spectrum.csv", "\n".join(lines) + "\n")
-
-        lines = ["rank,eigenvalue,ipr,degenerate_flag"]
+        put(
+            "spectrum.csv",
+            "rank,eigenvalue,sq_spectrum_frac\n"
+            + _format_rows(
+                "%d,%.17g,%.17g\n", range(report.lambdas.size), report.lambdas, report.sq_spectrum
+            ),
+        )
+        put("ipr.csv", ipr_csv(report.curve, report.basis.degenerate))
         for rec in report.records:
-            lines.append(
-                f"{rec.rank},{_fmt(rec.eigenvalue)},{_fmt(rec.ipr)},{int(rec.degenerate)}"
-            )
-        put("ipr.csv", "\n".join(lines) + "\n")
-
-        for rec in report.records:
-            v = report.basis.vectors[:, rec.rank]
-            lev = csl(v).scores
-            lines = ["node,value,csl"]
-            for node in range(v.size):
-                lines.append(f"{node},{_fmt(v[node])},{_fmt(lev[node])}")
-            put(f"eigvec_{rec.rank}.csv", "\n".join(lines) + "\n")
-
-            lines = ["bin_lo,bin_hi,count"]
+            put(f"eigvec_{rec.rank}.csv", eigvec_csv(report.basis.vectors[:, rec.rank]))
             edges = rec.hist.bin_edges
-            for b, count in enumerate(rec.hist.counts):
-                lines.append(f"{_fmt(edges[b])},{_fmt(edges[b + 1])},{int(count)}")
-            put(f"hist_{rec.rank}.csv", "\n".join(lines) + "\n")
-
-        lines = ["rank,group,l2_frac,l1_frac"]
-        for rank, group, l2, l1 in report.group_table or ():
-            lines.append(f"{rank},{group},{_fmt(l2)},{_fmt(l1)}")
-        put("groups.csv", "\n".join(lines) + "\n")
+            put(
+                f"hist_{rec.rank}.csv",
+                "bin_lo,bin_hi,count\n"
+                + _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], rec.hist.counts),
+            )
+        put(
+            "groups.csv",
+            "rank,group,l2_frac,l1_frac\n"
+            + _format_rows("%d,%d,%.17g,%.17g\n", *zip(*(report.group_table or ()))),
+        )
 
         t = report.transition
         put(

@@ -47,7 +47,7 @@ class Histogram:
 
 def _check_unit(v: np.ndarray) -> float:
     sq = float(np.sum(v * v))
-    if abs(sq - 1.0) > NORM_TOL:
+    if not abs(sq - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotNormalized(f"vector has squared norm {sq:.9g}, expected 1")
     return sq
 

@@ -1,7 +1,15 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and reference implementations that
+differential tests compare the library against."""
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 
 from eigenloc import WeightedGraph
+from eigenloc.errors import DuplicateEdge, InputError, IoError, NegativeWeight, ParseError
+from eigenloc.io import parse_labels
+from eigenloc.localization import csl
 
 
 def graph_from_dense(A, labels=None, sublabels=None) -> WeightedGraph:
@@ -46,3 +54,230 @@ def two_triangles_bridge() -> WeightedGraph:
     i = np.array([e[0] for e in edges])
     j = np.array([e[1] for e in edges])
     return WeightedGraph(6, i, j, np.ones(7))
+
+
+# ------------------------------------------------------------------------
+# Reference implementations: eigenloc.io's per-line MatrixMarket scan and
+# per-value writers as they were before parsing and formatting went bulk.
+# The differential tests in test_io_bulk.py hold the library to these.
+
+
+def ref_fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def ref_write_graph(g: WeightedGraph, path) -> None:
+    """Symmetric coordinate MatrixMarket, lower triangle, 1-based."""
+    lines = ["%%MatrixMarket matrix coordinate real symmetric"]
+    lines.append(f"{g.n} {g.n} {g.edge_count}")
+    for i, j, w in zip(g.rows, g.cols, g.weights):
+        lines.append(f"{j + 1} {i + 1} {ref_fmt(w)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def ref_write_labels(g: WeightedGraph, path) -> None:
+    """CSV sidecar: node_id,group_id[,subgroup_id]; 0-based node ids."""
+    if g.labels is None:
+        raise InputError("graph carries no labels to write")
+    with_sub = g.sublabels is not None
+    lines = ["node_id,group_id,subgroup_id" if with_sub else "node_id,group_id"]
+    for v in sorted(g.labels):
+        row = f"{v},{g.labels[v]}"
+        if with_sub:
+            sub = g.sublabels.get(v)
+            row += f",{sub if sub is not None else ''}"
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def ref_mm_header(lines: list[str], path) -> tuple[str, str]:
+    if not lines:
+        raise ParseError(f"{path}: empty file", line=1)
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "%%MatrixMarket":
+        raise ParseError("expected a MatrixMarket header", line=1)
+    _, obj, fmt, field, symmetry = (t.lower() for t in head)
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError(f"unsupported MatrixMarket object/format {obj}/{fmt}", line=1)
+    if field not in ("real", "integer"):
+        raise ParseError(f"unsupported field type {field}", line=1)
+    if symmetry not in ("general", "symmetric"):
+        raise ParseError(f"unsupported symmetry {symmetry}", line=1)
+    return field, symmetry
+
+
+def ref_mm_entries(path):
+    """-> (n, symmetry, field, [(lineno, i, j, w)]) with 0-based i, j."""
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    field, symmetry = ref_mm_header(lines, path)
+    n = m = None
+    entries = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        s = raw.strip()
+        if not s or s.startswith("%"):
+            continue
+        toks = s.split()
+        if n is None:
+            if len(toks) != 3:
+                raise ParseError("expected 'rows cols nnz'", line=lineno)
+            try:
+                r, c, m = (int(t) for t in toks)
+            except ValueError:
+                raise ParseError("non-integer size line", line=lineno) from None
+            if r != c:
+                raise ParseError(f"matrix must be square, got {r}x{c}", line=lineno)
+            if r < 1:
+                raise ParseError("empty matrix", line=lineno)
+            n = r
+            continue
+        if len(toks) != 3:
+            raise ParseError("expected 'i j value'", line=lineno)
+        try:
+            i, j = int(toks[0]), int(toks[1])
+            w = float(toks[2])
+        except ValueError:
+            raise ParseError(f"bad entry {s!r}", line=lineno) from None
+        if not math.isfinite(w):
+            raise ParseError(f"non-finite value {toks[2]!r}", line=lineno)
+        if field == "integer" and float(int(float(toks[2]))) != w:
+            raise ParseError("non-integer value in integer matrix", line=lineno)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"index ({i}, {j}) out of range 1..{n}", line=lineno)
+        entries.append((lineno, i - 1, j - 1, w))
+    if n is None:
+        raise ParseError("missing size line", line=len(lines))
+    if len(entries) != m:
+        raise ParseError(f"declared {m} entries, found {len(entries)}", line=len(lines))
+    return n, symmetry, field, entries
+
+
+def ref_parse_graph(path, label_path=None) -> WeightedGraph:
+    """Read a MatrixMarket graph (symmetric or general storage).
+
+    General storage may carry each undirected edge once or as a mirrored
+    pair with equal weights; conflicting mirror weights are rejected.
+    """
+    n, symmetry, _, entries = ref_mm_entries(path)
+    seen: dict[tuple[int, int], float] = {}
+    weights: dict[tuple[int, int], float] = {}
+    for lineno, i, j, w in entries:
+        if i == j:
+            raise ParseError("self-loops are not allowed", line=lineno)
+        if w < 0:
+            raise NegativeWeight(min(i, j), max(i, j))
+        if symmetry == "symmetric":
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise DuplicateEdge(*key)
+            seen[key] = w
+        else:
+            if (i, j) in seen:
+                raise DuplicateEdge(i, j)
+            seen[(i, j)] = w
+            key = (min(i, j), max(i, j))
+            if key in weights and weights[key] != w:
+                raise ParseError(
+                    f"mirrored entries for ({key[0]}, {key[1]}) disagree", line=lineno
+                )
+        weights[key] = w
+    pairs = sorted(weights)
+    labels = sublabels = None
+    if label_path is not None:
+        labels, sublabels = parse_labels(label_path)
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    w = np.array([weights[p] for p in pairs])
+    return WeightedGraph(n, i, j, w, labels, sublabels)
+
+
+def ref_json_text(obj) -> str:
+    """JSON with floats at 17 significant digits, insertion-ordered keys."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return ref_fmt(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {ref_json_text(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(ref_json_text(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ref_emit_report(report, out_dir) -> list[Path]:
+    """Write the report as CSV/JSON files; returns the written paths."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
+
+        def put(name: str, text: str):
+            p = out / name
+            p.write_text(text)
+            written.append(p)
+
+        lines = ["rank,eigenvalue,sq_spectrum_frac"]
+        for j, lam in enumerate(report.lambdas):
+            lines.append(f"{j},{ref_fmt(lam)},{ref_fmt(report.sq_spectrum[j])}")
+        put("spectrum.csv", "\n".join(lines) + "\n")
+
+        lines = ["rank,eigenvalue,ipr,degenerate_flag"]
+        for rec in report.records:
+            lines.append(
+                f"{rec.rank},{ref_fmt(rec.eigenvalue)},{ref_fmt(rec.ipr)},{int(rec.degenerate)}"
+            )
+        put("ipr.csv", "\n".join(lines) + "\n")
+
+        for rec in report.records:
+            v = report.basis.vectors[:, rec.rank]
+            lev = csl(v).scores
+            lines = ["node,value,csl"]
+            for node in range(v.size):
+                lines.append(f"{node},{ref_fmt(v[node])},{ref_fmt(lev[node])}")
+            put(f"eigvec_{rec.rank}.csv", "\n".join(lines) + "\n")
+
+            lines = ["bin_lo,bin_hi,count"]
+            edges = rec.hist.bin_edges
+            for b, count in enumerate(rec.hist.counts):
+                lines.append(f"{ref_fmt(edges[b])},{ref_fmt(edges[b + 1])},{int(count)}")
+            put(f"hist_{rec.rank}.csv", "\n".join(lines) + "\n")
+
+        lines = ["rank,group,l2_frac,l1_frac"]
+        for rank, group, l2, l1 in report.group_table or ():
+            lines.append(f"{rank},{group},{ref_fmt(l2)},{ref_fmt(l1)}")
+        put("groups.csv", "\n".join(lines) + "\n")
+
+        t = report.transition
+        put(
+            "transition.json",
+            ref_json_text(
+                {
+                    "rank": t.rank,
+                    "baseline": t.baseline,
+                    "factor": t.factor,
+                    "window": report.window,
+                    "tau": report.tau,
+                }
+            )
+            + "\n",
+        )
+
+        parts = [
+            {
+                "rank": rank,
+                "conductance": p.conductance,
+                "side": [int(x) for x in p.side],
+            }
+            for rank, p in report.partitions
+        ]
+        put("partitions.json", ref_json_text(parts) + "\n")
+        return written
+    except OSError as exc:
+        raise IoError(f"cannot write report to {out}: {exc}") from exc

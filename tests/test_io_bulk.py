@@ -1,0 +1,300 @@
+"""Differential tests: bulk MatrixMarket parsing and one-template writers
+against the per-line and per-value reference implementations in helpers."""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import eigenloc.diagnostics as diagnostics
+from eigenloc import (
+    TwoLevelSpec,
+    TwoModuleBead,
+    PathRandom,
+    analyze,
+    emit_report,
+    generate_bead_chain,
+    parse_graph,
+    spectrum_random_walk,
+    write_graph,
+    write_labels,
+)
+from eigenloc import io as eio
+from eigenloc.cli import main
+from eigenloc.operators import WeightedGraph
+from helpers import (
+    ref_emit_report,
+    ref_fmt,
+    ref_mm_entries,
+    ref_parse_graph,
+    ref_write_graph,
+    ref_write_labels,
+)
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+           1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2.5, 1.0, 1e16, 123456789.0]
+
+
+# ------------------------------------------------------------------ parsing
+
+def _outcome(fn, path, convert):
+    """What a parse returns (through `convert`) or raises, comparable across parsers."""
+    try:
+        return convert(fn(path))
+    except Exception as exc:  # every exception type is part of the contract
+        return ("raise", type(exc), str(exc), getattr(exc, "line", None))
+
+
+def _graph(g):
+    # weights compared bitwise, so -0.0 != 0.0
+    return "graph", g.n, g.rows.tolist(), g.cols.tolist(), g.weights.view(np.int64).tolist()
+
+
+def _entries(res):
+    n, symmetry, field, *arrays = res
+    return n, symmetry, field, list(zip(*(a.tolist() for a in arrays)))
+
+
+INDEX_STYLES = ["{}", "{}", "{}", "+{}", "0{}"]
+REAL_STYLES = ["{!r}", "{:.17g}", "{:e}", "{:.3f}", "{:.17G}"]
+DEFECTS = [
+    "bad_token", "count", "trailing_comment", "out_of_range", "self_loop",
+    "negative", "duplicate", "mirror_conflict", "nonfinite", "body_comment",
+    "body_blank", "underscore", "float_index",
+]
+
+
+@st.composite
+def mm_files(draw, defects=True):
+    n = draw(st.integers(2, 12))
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    field = draw(st.sampled_from(["real", "integer"]))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))),
+                         min_size=1, max_size=20))
+    pairs = draw(st.permutations(sorted(pairs)))
+
+    def weight():
+        if field == "integer":
+            return draw(st.sampled_from(["{}", "{}.0", "+{}", "{}e0"])).format(
+                draw(st.integers(0, 10**6)))
+        x = draw(st.one_of(
+            st.floats(0, 1e300, allow_subnormal=True),
+            st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0]),
+        ))
+        return draw(st.sampled_from(REAL_STYLES)).format(x)
+
+    def index(v):
+        return draw(st.sampled_from(INDEX_STYLES)).format(v + 1)
+
+    sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+    rows = []  # data lines as token lists (1-based ids)
+    for a, b in pairs:
+        if symmetry == "symmetric" or draw(st.booleans()):
+            a, b = (b, a) if draw(st.booleans()) else (a, b)
+            rows.append([index(a), index(b), weight()])
+        else:  # general storage, stored as a mirrored pair
+            w = weight()
+            rows.append([index(b), index(a), w])
+            rows.append([index(a), index(b), w])
+    count = len(rows)
+    extra = {}  # position -> non-data lines to put before that data line
+    kinds = draw(st.lists(st.sampled_from(DEFECTS), max_size=2)) if defects else []
+    for kind in kinds:
+        pos = draw(st.integers(0, len(rows) - 1))
+        row = rows[pos]
+        if kind == "bad_token":
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from(["x", "1x", "", "--1", "0x1", "1,2"]))
+        elif kind == "count":
+            count += draw(st.sampled_from([-1, 1]))
+        elif kind == "trailing_comment":
+            row.append("% note")
+        elif kind == "out_of_range":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(["0", str(n + 1), "-1"]))
+        elif kind == "self_loop":
+            row[1] = row[0]
+        elif kind == "negative":
+            row[2] = "-" + row[2].lstrip("+-")
+        elif kind == "duplicate":
+            dup = list(row) if symmetry == "general" or draw(st.booleans()) else [row[1], row[0], row[2]]
+            rows.insert(draw(st.integers(pos + 1, len(rows))), dup)
+            count += 1
+        elif kind == "mirror_conflict":
+            rows.insert(draw(st.integers(pos + 1, len(rows))), [row[1], row[0], "7"])
+            count += 1
+        elif kind == "nonfinite":
+            row[2] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e400"]))
+        elif kind == "body_comment":
+            extra.setdefault(pos, []).append("% comment in the body")
+        elif kind == "body_blank":
+            extra.setdefault(pos, []).append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "underscore":
+            row[0] = row[0][0] + "_" + row[0][1:] if len(row[0]) > 1 else row[0]
+        elif kind == "float_index":
+            row[draw(st.integers(0, 1))] += ".0"
+    head = [draw(st.sampled_from([
+        f"%%MatrixMarket matrix coordinate {field} {symmetry}",
+        f"%%MatrixMarket MATRIX Coordinate {field.upper()} {symmetry.title()}",
+    ]))]
+    head += draw(st.lists(st.sampled_from(["% generated", "", "%", "  % indented"]), max_size=2))
+    head.append(f"{n} {n} {count}")
+    body = []
+    for pos, row in enumerate(rows):
+        body += extra.get(pos, [])
+        lead = draw(st.sampled_from(["", "", " "]))
+        body.append(lead + sep.join(row))
+    end = draw(st.sampled_from(["\n", "\n", ""]))
+    return "\n".join(head + body) + end
+
+
+def _check_same(path):
+    got = _outcome(parse_graph, path, _graph)
+    assert got == _outcome(ref_parse_graph, path, _graph)
+    assert _outcome(eio._mm_entries, path, _entries) == _outcome(ref_mm_entries, path, tuple)
+    return got
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mm_files(defects=False))
+def test_bulk_parse_matches_reference_on_valid_files(tmp_path, text):
+    path = tmp_path / "g.mtx"
+    path.write_text(text)
+    assert _check_same(path)[0] == "graph"
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mm_files())
+def test_bulk_parse_matches_reference_on_defects(tmp_path, text):
+    path = tmp_path / "g.mtx"
+    path.write_text(text)
+    _check_same(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # loadtxt alone would read each of these; the line scan rejects them
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0 % note\n3 2 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2\x0c1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 1e400\n",
+        "%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n2 1 1\n3 2 1.5\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n\n3 3 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n% a\x0bcomment\n3 3 1\n2 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 1 1.0\n1 2 2.0\n2 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 1 1.0\n2 1 1.0\n1 2 2.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1.0\n3 3 -1.0\n3 2 x\n",
+        # only int() and float() read these: same graph as the line scan
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1_0\n3 2 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 ١\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 1",
+        "",
+    ],
+)
+def test_bulk_parse_matches_reference_on_edge_cases(tmp_path, text):
+    path = tmp_path / "g.mtx"
+    path.write_text(text)
+    _check_same(path)
+
+
+def test_trailing_comment_is_a_parse_error_on_its_line(tmp_path):
+    path = tmp_path / "g.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 1.0 % note\n")
+    with pytest.raises(eio.ParseError) as exc:
+        parse_graph(path)
+    assert exc.value.line == 4
+
+
+def test_written_graphs_take_the_bulk_read(tmp_path):
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(30, 30, 0.3, 0.05),) * 3, PathRandom(0.01), seed=5)
+    )
+    path = tmp_path / "g.mtx"
+    write_graph(g, path)
+    assert eio._mm_bulk(path.read_text(), path) is not None
+    back = parse_graph(path)
+    assert back.edges == g.edges
+
+
+# ------------------------------------------------------------------ writers
+
+def _chain(beads, size, p, seed):
+    return generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(size, size, 0.2, 0.02),) * beads, PathRandom(p), seed=seed)
+    )
+
+
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _check_writers(g, report, tmp_path):
+    if report is not None:
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        written = emit_report(report, new)
+        ref_written = ref_emit_report(report, ref)
+        assert [p.name for p in written] == [p.name for p in ref_written]
+        _same_files(new, ref)
+    write_graph(g, tmp_path / "new.mtx")
+    ref_write_graph(g, tmp_path / "ref.mtx")
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+    if g.labels is not None:
+        write_labels(g, tmp_path / "new.csv")
+        ref_write_labels(g, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_writers_match_reference_full_spectrum(tmp_path):
+    g = _chain(4, 50, 0.01, seed=3)
+    assert g.n == 400
+    _check_writers(g, analyze(g, k=400, sweep_ranks=(1, 2)), tmp_path)
+
+
+def test_writers_match_reference_subset_route(tmp_path):
+    g = _chain(6, 100, 0.002, seed=4)
+    assert g.n == 1200
+    _check_writers(g, analyze(g, k=20, sweep_ranks=(1,)), tmp_path)
+
+
+def test_writers_match_reference_arpack_route(tmp_path, monkeypatch):
+    g = _chain(3, 40, 0.01, seed=6)
+    monkeypatch.setattr(
+        diagnostics, "spectrum_random_walk", functools.partial(spectrum_random_walk, dense_limit=10)
+    )
+    _check_writers(g, analyze(g, k=12, sweep_ranks=(2,)), tmp_path)
+
+
+def test_writers_match_reference_on_special_values(tmp_path):
+    vals = np.array(SPECIAL)
+    assert eio._format_rows("%d,%.17g\n", range(vals.size), vals) == "".join(
+        f"{j},{ref_fmt(x)}\n" for j, x in enumerate(vals)
+    )
+    v = np.array([1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+    assert eio.eigvec_csv(v) == "node,value,csl\n" + "".join(
+        f"{j},{ref_fmt(x)},{ref_fmt(x * x)}\n" for j, x in enumerate(v)
+    )
+    w = np.array([5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 1 / 3, 1e16])
+    g = WeightedGraph(6, np.arange(5), np.arange(1, 6), w, {v: v % 2 for v in range(6)},
+                      {0: 3, 2: 1, 5: 0})
+    _check_writers(g, None, tmp_path)
+
+
+def test_cli_ipr_and_csl_match_analyze_report(tmp_path):
+    g = _chain(2, 40, 0.05, seed=2)
+    graph = tmp_path / "g.mtx"
+    write_graph(g, graph)
+    assert main(["analyze", str(graph), "--k", "12", "--out", str(tmp_path / "rep")]) == 0
+    assert main(["ipr", str(graph), "--k", "12", "--out", str(tmp_path / "ipr.csv")]) == 0
+    assert (tmp_path / "ipr.csv").read_bytes() == (tmp_path / "rep" / "ipr.csv").read_bytes()
+    for rank in (0, 3, 11):
+        out = tmp_path / f"csl_{rank}.csv"
+        assert main(["csl", str(graph), "--k", "12", "--rank", str(rank), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "rep" / f"eigvec_{rank}.csv").read_bytes()
+    # the default k is the same for analyze and csl while rank < 100
+    assert main(["analyze", str(graph), "--out", str(tmp_path / "rep_default")]) == 0
+    assert main(["csl", str(graph), "--rank", "5", "--out", str(tmp_path / "c.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "rep_default" / "eigvec_5.csv").read_bytes()

@@ -43,6 +43,14 @@ def test_ipr_rejects_unnormalized():
         ipr(np.ones(4))
 
 
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]])
+def test_ipr_and_csl_reject_nonfinite(v):
+    with pytest.raises(NotNormalized):
+        ipr(v)
+    with pytest.raises(NotNormalized):
+        csl(v)
+
+
 def test_csl_uniform_and_indicator():
     for n in (2, 10, 1000):
         uniform = np.full(n, 1.0 / np.sqrt(n))
