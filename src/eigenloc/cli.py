@@ -37,11 +37,15 @@ def _emit_text(text: str, out: str | None):
         Path(out).write_text(text)
 
 
-def _default_k(n: int, rank: int | None = None) -> int:
-    k = min(n, DEFAULT_K)
-    if rank is not None:
-        k = min(n, max(k, rank + 1))
-    return k
+def _basis(args, g):
+    """Top-k eigenbasis for a command: --k, else min(n, DEFAULT_K) widened to
+    cover --rank, which must then lie in the computed range."""
+    rank = getattr(args, "rank", None)
+    k = args.k if args.k is not None else min(g.n, max(DEFAULT_K, (rank or 0) + 1))
+    basis = spectrum_random_walk(g, k)
+    if rank is not None and not 0 <= rank < basis.k:
+        raise InputError(f"rank {rank} outside computed range 0..{basis.k - 1}")
+    return basis
 
 
 def _parse_ranks(text: str | None) -> tuple[int, ...]:
@@ -89,27 +93,21 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_ipr(args) -> int:
     g = _load_graph(args)
-    basis = spectrum_random_walk(g, args.k if args.k is not None else _default_k(g.n))
+    basis = _basis(args, g)
     _emit_text(eio.ipr_csv(ipr_curve(basis), basis.degenerate), args.out)
     return 0
 
 
 def _cmd_csl(args) -> int:
     g = _load_graph(args)
-    k = args.k if args.k is not None else _default_k(g.n, args.rank)
-    basis = spectrum_random_walk(g, k)
-    if not 0 <= args.rank < basis.k:
-        raise InputError(f"rank {args.rank} outside computed range 0..{basis.k - 1}")
+    basis = _basis(args, g)
     _emit_text(eio.eigvec_csv(basis.vectors[:, args.rank]), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     g = _load_graph(args)
-    k = args.k if args.k is not None else _default_k(g.n, args.rank)
-    basis = spectrum_random_walk(g, k)
-    if not 0 <= args.rank < basis.k:
-        raise InputError(f"rank {args.rank} outside computed range 0..{basis.k - 1}")
+    basis = _basis(args, g)
     part = sweep_cut(basis.vectors[:, args.rank], g)
     doc = {
         "rank": args.rank,
@@ -122,7 +120,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_transition(args) -> int:
     g = _load_graph(args)
-    basis = spectrum_random_walk(g, args.k if args.k is not None else _default_k(g.n))
+    basis = _basis(args, g)
     report = detect_transition(ipr_curve(basis), window=args.window, factor=args.tau)
     doc = {
         "rank": report.rank,
@@ -140,10 +138,7 @@ def _cmd_compare_restriction(args) -> int:
     if g.labels is None:
         raise MissingLabels("compare-restriction needs a label sidecar (--labels)")
     subset = [v for v, grp in g.labels.items() if grp == args.group]
-    k = args.k if args.k is not None else _default_k(g.n, args.rank)
-    basis = spectrum_random_walk(g, k)
-    if not 0 <= args.rank < basis.k:
-        raise InputError(f"rank {args.rank} outside computed range 0..{basis.k - 1}")
+    basis = _basis(args, g)
     dist, v_r, v_l = restrict_and_compare(basis.vectors[:, args.rank], subset, g)
     sub = g.subgraph(subset)
     cut_r = sweep_cut(v_r, sub)

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CurveTooShort,
@@ -59,8 +58,7 @@ def sweep_cut(v, g: WeightedGraph) -> Partition:
         raise SizeMismatch(f"vector length {v.size} != node count {n}")
     if n < 2:
         raise InputError("sweep cut needs at least 2 nodes")
-    ncomp, _ = connected_components(g.adjacency, directed=False)
-    if ncomp > 1:
+    if g.components[0] > 1:
         raise DisconnectedGraph("sweep cut needs a connected graph")
 
     order = np.lexsort((np.arange(n), -v))
@@ -118,8 +116,7 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     if idx.size < 2:
         raise SubsetTooSmall("restriction needs at least 2 nodes")
     sub = g.subgraph(idx)
-    ncomp, _ = connected_components(sub.adjacency, directed=False)
-    if ncomp > 1:
+    if sub.components[0] > 1:
         raise DisconnectedSubgraph("subset induces a disconnected subgraph")
     v_r = v_full[idx]
     norm = np.linalg.norm(v_r)

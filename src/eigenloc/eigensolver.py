@@ -16,16 +16,26 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import AllZeroSpectrum, ConvergenceFailure, InputError
-from .operators import DENSE_LIMIT, WeightedGraph, normalized_adjacency, random_walk
+from .operators import DENSE_LIMIT, WeightedGraph, normalized_adjacency
 
-RESIDUAL_TOL = 1e-8  # per-column residual bound, scaled by n
+# bound on ||S y - lambda y|| for a unit y; ||S||_2 = 1, so this is a
+# backward error and needs no scaling with n
+RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-9  # eigenvalues closer than this form one cluster
-# Dense graphs of at least SUBSET_MIN_N nodes solved for k <= n / SUBSET_RATIO
-# pairs compute only those columns (LAPACK evr, index range). Below the floor
-# a full solve costs less than process start; above k = n / 8 the subset
-# solve stops winning (measured crossover between n/8 and n/4).
+# Route thresholds (see spectrum_random_walk). Below SUBSET_MIN_N nodes a
+# full solve costs less than process start; above k = n / SUBSET_RATIO the
+# evr subset solve stops winning against it (measured crossover between n/8
+# and n/4); at k <= n / ARPACK_RATIO ARPACK beats evr. evr / ARPACK seconds
+# on bead chains (best of 2, 2 BLAS threads, 2-core VM):
+#   n=2,000: k=50 0.48/0.17, k=100 0.52/0.54, k=125 0.58/0.70
+#   n=4,000: k=50 3.38/0.39, k=100 3.57/0.91, k=125 3.71/1.29, k=250 4.39/3.88
 SUBSET_MIN_N = 1000
 SUBSET_RATIO = 8
+ARPACK_RATIO = 20
+# ARPACK start vector seed: a fixed pseudo-random start keeps runs
+# reproducible and, unlike a uniform one, is not invariant under the
+# graph's symmetries, whose antisymmetric eigenvectors it would never reach
+START_SEED = 20110601
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +82,46 @@ def _sign_normalize(X: np.ndarray) -> np.ndarray:
     return X * signs
 
 
+def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top m eigenpairs of the symmetric n x n block A, in any order, by the
+    route the block's size picks; m is k + 1, or n when k >= n - 1."""
+    n = A.shape[0]
+    k = m - 1
+    if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n)):
+        v0 = np.random.default_rng(START_SEED).standard_normal(n)
+        try:
+            return spla.eigsh(A, k=m, which="LA", v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceFailure(len(exc.eigenvalues)) from exc
+    if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
+        return sla.eigh(A.toarray(), subset_by_index=[n - m, n - 1], driver="evr")
+    return np.linalg.eigh(A.toarray())
+
+
+def _solve_components(S, ncomp: int, labels: np.ndarray, m: int, dense_limit: int):
+    """Top m eigenpairs of S, one _solve_block per connected component.
+
+    S is permuted once so each component is a contiguous diagonal block.
+    Components are numbered by their lowest node, and the merge keeps that
+    order among equal eigenvalues (the final sort is stable).
+    """
+    perm = np.argsort(labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=ncomp))])
+    B = S[perm][:, perm]
+    parts = [
+        _solve_block(B[a:b, a:b], min(m, b - a), dense_limit)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+    evals = np.concatenate([lam for lam, _ in parts])
+    comp = np.repeat(np.arange(ncomp), [lam.size for lam, _ in parts])
+    col = np.concatenate([np.arange(lam.size) for lam, _ in parts])
+    top = np.argsort(-evals, kind="stable")[:m]
+    Y = np.zeros((S.shape[0], top.size))
+    for j, (c, i) in enumerate(zip(comp[top].tolist(), col[top].tolist())):
+        Y[perm[bounds[c] : bounds[c + 1]], j] = parts[c][1][:, i]
+    return evals[top], Y
+
+
 def spectrum_random_walk(
     g: WeightedGraph,
     k: int | None = None,
@@ -79,22 +129,27 @@ def spectrum_random_walk(
 ) -> Eigenbasis:
     """Top-k eigenpairs of P = D^-1 W (default: all of them).
 
-    Three routes, chosen from n and k:
+    Each connected component is solved on its own (a connected graph makes
+    one call) and the results are merged by a stable descending sort, ties
+    in the order of each component's lowest node. A component of n nodes
+    solved for k + 1 pairs takes one of three routes:
 
-    - full dense (LAPACK syevd via numpy) when n <= dense_limit and the
-      subset rule does not apply, or when k >= n - 1;
-    - dense subset (LAPACK evr, index range) when n <= dense_limit,
-      n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n: computes only the top
-      pairs, not all n columns;
-    - Lanczos (ARPACK) with a fixed start vector above dense_limit.
+    - Lanczos (ARPACK) on the sparse matrix when n > dense_limit, or when
+      n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n (k <= n / 20);
+    - dense subset (LAPACK evr, index range) when n >= SUBSET_MIN_N and
+      SUBSET_RATIO * k <= n otherwise (n / 20 < k <= n / 8);
+    - full dense (LAPACK syevd via numpy) for the rest, and whenever
+      k >= n - 1.
 
-    All three are deterministic: identical inputs give identical output
-    bytes. The top-k eigenvalues are a bitwise prefix of the full spectrum
-    only on the full dense route; the subset route agrees with it to
-    rounding (about 1e-15), not bitwise.
+    ARPACK starts from a fixed-seed pseudo-random vector. All routes are
+    deterministic: identical inputs give identical output bytes. The top-k
+    eigenvalues are a bitwise prefix of the full spectrum only on the full
+    dense route; the others agree with it to rounding, not bitwise.
 
     One pair beyond k is solved for (when k < n) so that a degenerate
-    cluster cut off at rank k-1 is still flagged degenerate.
+    cluster cut off at rank k-1 is still flagged degenerate. Every pair must
+    pass ||S y - lambda y|| <= RESIDUAL_TOL on the unit eigenvector y of
+    S = D^-1/2 W D^-1/2, else ConvergenceFailure.
     """
     n = g.n
     if k is None:
@@ -103,32 +158,24 @@ def spectrum_random_walk(
         raise InputError(f"k must be in 1..{n}, got {k}")
     m = min(k + 1, n)
     S = normalized_adjacency(g)  # raises IsolatedNode
-    if n <= dense_limit or k >= n - 1:
-        A = S.dense(limit=max(n, dense_limit))
-        if n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
-            evals, Y = sla.eigh(A, subset_by_index=[n - m, n - 1], driver="evr")
-        else:
-            evals, Y = np.linalg.eigh(A)
+    ncomp, labels = g.components
+    if ncomp == 1:
+        evals, Y = _solve_block(S.matrix, m, dense_limit)
     else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        try:
-            evals, Y = spla.eigsh(S.matrix, k=m, which="LA", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(len(exc.eigenvalues)) from exc
+        evals, Y = _solve_components(S.matrix, ncomp, labels, m, dense_limit)
     order = np.argsort(-evals, kind="stable")[:m]
     evals = evals[order]
     Y = Y[:, order]
-    X = Y / np.sqrt(S.degrees)[:, None]
-    X = X / np.linalg.norm(X, axis=0, keepdims=True)
-    X = _sign_normalize(X)
 
-    P = random_walk(g).matrix
-    resid = np.linalg.norm(P @ X - X * evals[None, :], axis=0)
-    bad = ~(resid <= RESIDUAL_TOL * n)  # a NaN residual fails too
+    resid = np.linalg.norm(S.matrix @ Y - Y * evals[None, :], axis=0)
+    bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ConvergenceFailure(j, float(resid[j]))
 
+    X = Y / np.sqrt(S.degrees)[:, None]
+    X = X / np.linalg.norm(X, axis=0, keepdims=True)
+    X = _sign_normalize(X)
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])
     tail_cut = m > k and clusters[k] == clusters[k - 1]

@@ -56,6 +56,19 @@ def _format_rows(template: str, *columns) -> str:
     return (template * rows) % tuple(flat)
 
 
+def _read_text(path) -> str:
+    """The file as UTF-8 text with universal newlines, as Path.read_text()
+    gives it; a byte sequence that is not UTF-8 is a ParseError on its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: not UTF-8 text", line=line) from None
+    # the check saves two full copies of a file without "\r", the usual case
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 # ---------------------------------------------------------------- graphs
 
 def write_graph(g: WeightedGraph, path) -> None:
@@ -102,6 +115,9 @@ def _blank_or_comment(line: str) -> bool:
     return not s or s.startswith("%")
 
 
+_INDEX_MAX = int(np.iinfo(np.int64).max)  # node ids are stored as int64
+
+
 def _mm_preamble(lines: list[str], path):
     """Header and size line -> (field, symmetry, n, m, line number of the size line)."""
     field, symmetry = _mm_header(lines, path)
@@ -117,6 +133,8 @@ def _mm_preamble(lines: list[str], path):
             raise ParseError("non-integer size line", line=lineno) from None
         if r != c:
             raise ParseError(f"matrix must be square, got {r}x{c}", line=lineno)
+        if r > _INDEX_MAX:
+            raise ParseError(f"matrix size {r} exceeds {_INDEX_MAX}", line=lineno)
         if r < 1:
             raise ParseError("empty matrix", line=lineno)
         return field, symmetry, r, m, lineno
@@ -203,13 +221,13 @@ def _mm_entries(path):
     bulk; anything the bulk read cannot vouch for goes through the line scan,
     which raises the error or builds the same arrays.
     """
-    text = Path(path).read_text()
+    text = _read_text(path)
     return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
 
 
 def parse_labels(path):
     """-> (labels, sublabels or None); accepts an optional header row."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     labels: dict[int, int] = {}
     sublabels: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -312,7 +330,7 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
 
     pops = np.zeros(n)
     got = np.zeros(n, dtype=bool)
-    lines = Path(populations_path).read_text().splitlines()
+    lines = _read_text(populations_path).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s:
@@ -424,7 +442,7 @@ def spec_from_json(doc) -> TwoLevelSpec:
 
 
 def load_spec(path) -> TwoLevelSpec:
-    return spec_from_json(Path(path).read_text())
+    return spec_from_json(_read_text(path))
 
 
 def save_spec(spec: TwoLevelSpec, path) -> None:

@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AsymmetricFlow,
@@ -118,6 +119,12 @@ class WeightedGraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """(count, component label per node); scipy numbers the components
+        in the order of their lowest node."""
+        return connected_components(self.adjacency, directed=False)
 
     def subgraph(self, nodes) -> "WeightedGraph":
         """Induced subgraph on the given nodes, relabeled 0..len-1 in sorted order."""

@@ -197,3 +197,61 @@ def test_partial_arpack_convergence_exits_3(tmp_path, capsys, monkeypatch):
     rc = cli.main(["analyze", str(graph_path), "--out", str(tmp_path / "report")])
     assert rc == 3
     assert "eigenpair 2 failed" in capsys.readouterr().err
+
+
+LATIN1 = b"% caf\xe9\n"  # a byte that is not UTF-8
+
+
+@pytest.mark.parametrize("where", ["graph", "labels", "spec", "populations"])
+def test_non_utf8_byte_exits_2(tmp_path, capsys, where):
+    graph = tmp_path / "g.mtx"
+    write_graph(path_graph(3), graph)
+    if where == "graph":
+        text = graph.read_bytes()
+        graph.write_bytes(text.replace(b"\n", b"\n" + LATIN1, 1))
+        argv = ["ipr", str(graph)]
+    elif where == "labels":
+        labels = tmp_path / "g.labels.csv"
+        labels.write_bytes(b"node_id,group_id\n0,0\n1,0 " + LATIN1 + b"2,1\n")
+        argv = ["ipr", str(graph), "--labels", str(labels)]
+    elif where == "spec":
+        spec = tmp_path / "chain.json"
+        save_spec(CHAIN, spec)
+        spec.write_bytes(spec.read_bytes() + LATIN1)
+        argv = ["generate", str(spec), "--out", str(tmp_path / "out.mtx")]
+    else:
+        flows = tmp_path / "flows.mtx"
+        flows.write_text("%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 10\n")
+        pops = tmp_path / "pops.csv"
+        pops.write_bytes(b"node_id,population\n0,100\n" + LATIN1 + b"1,50\n")
+        argv = ["migration-kernel", str(flows), str(pops), "--out", str(tmp_path / "k.mtx")]
+    assert cli.main(argv) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_size_line_beyond_int64_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.mtx"
+    bad.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "99999999999999999999 99999999999999999999 1\n2 1 1.0\n"
+    )
+    assert cli.main(["ipr", str(bad)]) == 2
+    assert "line 2: matrix size" in capsys.readouterr().err
+
+
+def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
+    # the solver and sweep_cut share the graph's cached component labels
+    from eigenloc import operators
+
+    calls = []
+    real = operators.connected_components
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "connected_components", spy)
+    graph_path, _ = chain_files
+    argv = ["analyze", str(graph_path), "--out", str(tmp_path / "r"), "--ranks", "1,2"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,6 +12,7 @@ from eigenloc import (
     WeightedGraph,
     generalized_laplacian_eigs,
     generate_bead_chain,
+    generate_grid,
     generate_two_module,
     normalized_adjacency,
     normalized_square_spectrum,
@@ -293,3 +296,117 @@ def test_nan_residual_fails_the_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", junk)
     with pytest.raises(ConvergenceFailure):
         spectrum_random_walk(path_graph(4))
+
+
+def test_residual_bound_is_a_fixed_backward_error_on_s(monkeypatch):
+    # one column off by 1e-6 in S-residual; n * 1e-8 on P would let it pass
+    real = np.linalg.eigh
+
+    def off(A):
+        evals, Y = real(A)
+        evals[-3] += 1e-6
+        return evals, Y
+
+    monkeypatch.setattr(np.linalg, "eigh", off)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(path_graph(200))
+    assert exc.value.rank == 2
+
+
+# ------------------------------------------------------------ ARPACK route
+# Below the dense limit, n >= 1000 with 20k <= n takes ARPACK; dense_limit=10
+# forces it on any graph whose components exceed 10 nodes.
+
+def bead_chain(beads, seed=5):
+    bead = TwoModuleBead(250, 250, 0.2, 0.02)
+    return generate_bead_chain(TwoLevelSpec((bead,) * beads, PathRandom(0.002), seed=seed))
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: path_graph(2000), 6),
+        (lambda: tensor_block(4, two_module_325()), 12),
+        (lambda: tensor_block(3, generate_grid(20, 20)), 9),
+    ],
+    ids=["path_2000", "tensor_block_4_two_module", "tensor_block_3_grid"],
+)
+def test_arpack_route_matches_full_dense_solve(make, k):
+    # a uniform start vector misses the antisymmetric eigenvectors of these
+    g = make()
+    full = spectrum_random_walk(g)
+    lanczos = spectrum_random_walk(g, k=k, dense_limit=10)
+    assert np.abs(lanczos.lambdas - full.lambdas[:k]).max() <= 1e-9
+    assert np.array_equal(lanczos.clusters, full.clusters[:k])
+    assert np.array_equal(lanczos.degenerate, full.degenerate[:k])
+
+
+@pytest.mark.parametrize("beads, k", [(4, 50), (8, 100)])
+def test_small_k_dense_range_takes_arpack(monkeypatch, beads, k):
+    calls = []
+    for mod, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
+        real = getattr(mod, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    g = bead_chain(beads)
+    spectrum_random_walk(g, k=k)
+    assert calls == ["eigsh"]
+    assert g.n == 500 * beads and g.components[0] == 1
+
+
+def test_arpack_route_on_grid_keeps_multiplicities():
+    g = generate_grid(60, 60)
+    head = spectrum_random_walk(g, k=100)  # 20k <= n: ARPACK
+    full = spectrum_random_walk(g)
+    assert np.abs(head.lambdas - full.lambdas[:100]).max() <= 1e-9
+    assert np.array_equal(head.clusters, full.clusters[:100])
+    assert np.array_equal(head.degenerate, full.degenerate[:100])
+    assert np.bincount(head.clusters).max() == 2
+
+
+def test_many_components_solved_one_at_a_time():
+    g = tensor_block(500, path_graph(4))
+    t = time.perf_counter()
+    basis = spectrum_random_walk(g, k=50)
+    assert time.perf_counter() - t < 1.0
+    # P of the 4-path has spectrum {1, 1/2, -1/2, -1}; each is 500-fold here
+    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).dense()))[::-1]
+    assert np.abs(basis.lambdas - ref[:50]).max() <= 1e-9
+    assert basis.clusters.tolist() == [0] * 50
+    assert basis.degenerate.all() and basis.tail_cut
+    # ties keep component order: rank j is the stationary vector of copy j
+    support = np.abs(basis.vectors) > 0
+    assert np.array_equal(support, np.repeat(np.eye(500, 50, dtype=bool), 4, axis=0))
+
+
+def test_components_merge_with_mixed_routes():
+    # a 2,000-node chain (ARPACK) beside a 3-path (full solve)
+    chain = bead_chain(4)
+    p3 = path_graph(3)
+    g = WeightedGraph(
+        chain.n + 3,
+        np.concatenate([chain.rows, p3.rows + chain.n]),
+        np.concatenate([chain.cols, p3.cols + chain.n]),
+        np.concatenate([chain.weights, p3.weights]),
+    )
+    basis = spectrum_random_walk(g, k=50)
+    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).dense()))[::-1]
+    assert np.abs(basis.lambdas - ref[:50]).max() <= 1e-9
+    assert basis.clusters[:3].tolist() == [0, 0, 1]  # lambda = 1 twice
+    # one stationary vector per component; their order is up to rounding
+    on_chain = np.abs(basis.vectors[: chain.n, :2]).max(axis=0) > 0
+    on_path = np.abs(basis.vectors[chain.n :, :2]).max(axis=0) > 0
+    assert sorted(on_chain.tolist()) == [False, True]
+    assert np.array_equal(on_path, ~on_chain)
+
+
+def test_arpack_route_deterministic_bitwise():
+    g = bead_chain(4, seed=6)
+    a = spectrum_random_walk(g, k=50)
+    b = spectrum_random_walk(g, k=50)
+    assert np.array_equal(a.lambdas, b.lambdas)
+    assert np.array_equal(a.vectors, b.vectors)
