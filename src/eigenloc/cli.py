@@ -137,7 +137,7 @@ def _cmd_compare_restriction(args) -> int:
     g = _load_graph(args)
     if g.labels is None:
         raise MissingLabels("compare-restriction needs a label sidecar (--labels)")
-    subset = [v for v, grp in g.labels.items() if grp == args.group]
+    subset = (g.labels == args.group).nonzero()[0]
     basis = _basis(args, g)
     dist, v_r, v_l = restrict_and_compare(basis.vectors[:, args.rank], subset, g)
     sub = g.subgraph(subset)
@@ -245,6 +245,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # e.g. a MatrixMarket size line declaring more nodes than fit in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .clustering import Partition, TransitionReport, detect_transition, sweep_cut
 from .eigensolver import Eigenbasis, normalized_square_spectrum, spectrum_random_walk
-from .errors import InputError, MissingLabels
+from .errors import InputError, MissingLabels, SizeMismatch
 from .localization import Histogram, IPRCurve, histogram, ipr_curve
 from .operators import WeightedGraph
 
@@ -32,7 +32,6 @@ class EigRecord:
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
     basis: Eigenbasis
-    lambdas: np.ndarray
     sq_spectrum: np.ndarray
     curve: IPRCurve
     transition: TransitionReport
@@ -46,16 +45,16 @@ class AnalysisReport:
 def group_mass_table(basis: Eigenbasis, labels) -> list[tuple[int, int, float, float]]:
     """(rank, group, l2 fraction, l1 fraction) for every rank and group.
 
-    Labels must cover every node; each rank's l2 fractions sum to one.
+    labels is a graph's int64 label array and must label every node (no -1);
+    each rank's l2 fractions sum to one.
     """
-    n = basis.n
     if labels is None:
         raise MissingLabels("graph carries no labels")
-    try:
-        lab = np.array([labels[i] for i in range(n)], dtype=np.int64)
-    except KeyError as exc:
-        raise MissingLabels(f"node {exc.args[0]} has no label") from exc
-    groups, compact = np.unique(lab, return_inverse=True)
+    if labels.shape != (basis.n,):
+        raise SizeMismatch(f"{labels.size} labels for {basis.n} nodes")
+    if (labels < 0).any():
+        raise MissingLabels(f"node {int(np.argmax(labels < 0))} has no label")
+    groups, compact = np.unique(labels, return_inverse=True)
     rows: list[tuple[int, int, float, float]] = []
     for j in range(basis.k):
         v = basis.vectors[:, j]
@@ -120,7 +119,6 @@ def analyze(
     partitions = tuple((r, sweep_cut(basis.vectors[:, r], g)) for r in sweep_ranks)
     return AnalysisReport(
         basis=basis,
-        lambdas=basis.lambdas,
         sq_spectrum=normalized_square_spectrum(basis.lambdas),
         curve=curve,
         transition=transition,

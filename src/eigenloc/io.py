@@ -13,10 +13,10 @@ import json
 import math
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import AnalysisReport
 from .errors import (
     AsymmetricFlow,
     DuplicateEdge,
@@ -38,6 +38,9 @@ from .twolevel import (
     TwoLevelSpec,
     TwoModuleBead,
 )
+
+if TYPE_CHECKING:
+    from .diagnostics import AnalysisReport
 
 
 def _format_rows(template: str, *columns) -> str:
@@ -84,12 +87,13 @@ def write_labels(g: WeightedGraph, path) -> None:
     """CSV sidecar: node_id,group_id[,subgroup_id]; 0-based node ids."""
     if g.labels is None:
         raise InputError("graph carries no labels to write")
-    nodes = sorted(g.labels)
-    groups = [g.labels[v] for v in nodes]
+    nodes = np.flatnonzero(g.labels >= 0)
+    groups = g.labels[nodes]
     if g.sublabels is None:
         text = "node_id,group_id\n" + _format_rows("%d,%d\n", nodes, groups)
     else:
-        subs = [g.sublabels.get(v, "") for v in nodes]
+        subs = g.sublabels[nodes]
+        subs = np.where(subs >= 0, subs.astype(str), "")  # an empty cell for -1
         text = "node_id,group_id,subgroup_id\n" + _format_rows("%d,%d,%s\n", nodes, groups, subs)
     Path(path).write_text(text)
 
@@ -115,7 +119,7 @@ def _blank_or_comment(line: str) -> bool:
     return not s or s.startswith("%")
 
 
-_INDEX_MAX = int(np.iinfo(np.int64).max)  # node ids are stored as int64
+_INDEX_MAX = int(np.iinfo(np.int64).max)  # node and group ids are stored as int64
 
 
 def _mm_preamble(lines: list[str], path):
@@ -225,12 +229,13 @@ def _mm_entries(path):
     return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
 
 
-def parse_labels(path):
-    """-> (labels, sublabels or None); accepts an optional header row."""
-    lines = _read_text(path).splitlines()
-    labels: dict[int, int] = {}
-    sublabels: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+def parse_labels(path, n: int):
+    """-> (labels, sublabels or None) as int64 arrays of length n, -1 where a
+    node has no row (or no subgroup); accepts an optional header row. Group
+    and subgroup ids must lie in 0..2^63-1, since -1 marks "unlabeled"."""
+    labels = np.full(n, -1, dtype=np.int64)
+    sublabels = np.full(n, -1, dtype=np.int64)
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         s = raw.strip()
         if not s:
             continue
@@ -242,17 +247,19 @@ def parse_labels(path):
         try:
             node = int(toks[0])
             group = int(toks[1])
+            sub = int(toks[2]) if len(toks) == 3 and toks[2] != "" else None
         except ValueError:
             raise ParseError(f"bad label row {s!r}", line=lineno) from None
-        if node in labels:
+        if not 0 <= node < n:
+            raise ParseError(f"node {node} outside 0..{n - 1}", line=lineno)
+        if labels[node] >= 0:
             raise ParseError(f"duplicate label for node {node}", line=lineno)
+        for what, value in (("group", group), ("subgroup", sub)):
+            if value is not None and not 0 <= value <= _INDEX_MAX:
+                raise ParseError(f"{what} {value} outside 0..{_INDEX_MAX}", line=lineno)
         labels[node] = group
-        if len(toks) == 3 and toks[2] != "":
-            try:
-                sublabels[node] = int(toks[2])
-            except ValueError:
-                raise ParseError(f"bad subgroup {toks[2]!r}", line=lineno) from None
-    return labels, (sublabels or None)
+        sublabels[node] = -1 if sub is None else sub
+    return labels, (sublabels if (sublabels >= 0).any() else None)
 
 
 def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +305,7 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
         raise ParseError(f"mirrored entries for ({a}, {b}) disagree", line=int(line[e]))
     labels = sublabels = None
     if label_path is not None:
-        labels, sublabels = parse_labels(label_path)
+        labels, sublabels = parse_labels(label_path, n)
     keep = ~again
     return WeightedGraph(n, lo[keep], hi[keep], w[keep], labels, sublabels)
 
@@ -499,7 +506,7 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
             "spectrum.csv",
             "rank,eigenvalue,sq_spectrum_frac\n"
             + _format_rows(
-                "%d,%.17g,%.17g\n", range(report.lambdas.size), report.lambdas, report.sq_spectrum
+                "%d,%.17g,%.17g\n", range(report.basis.k), report.basis.lambdas, report.sq_spectrum
             ),
         )
         put("ipr.csv", ipr_csv(report.curve, report.basis.degenerate))

@@ -32,17 +32,17 @@ class WeightedGraph:
     """Undirected weighted graph on nodes 0..n-1.
 
     rows/cols/weights are parallel arrays, one entry per edge, canonically
-    sorted with rows[e] < cols[e]. labels (and sublabels) are optional
-    node -> integer group maps; generators use them for bead and module
-    membership.
+    sorted with rows[e] < cols[e]. labels (and sublabels) are None or an
+    int64 array of length n holding each node's group id (>= 0), or -1 for
+    an unlabeled node; generators use them for bead and module membership.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    labels: dict[int, int] | None = None
-    sublabels: dict[int, int] | None = None
+    labels: np.ndarray | None = None
+    sublabels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,13 +78,13 @@ class WeightedGraph:
         for name, val in (("rows", lo), ("cols", hi), ("weights", w)):
             object.__setattr__(self, name, val)
         for name in ("labels", "sublabels"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = {int(k): int(v) for k, v in m.items()}
-            if m and (min(m) < 0 or max(m) >= self.n):
-                raise InputError(f"{name} key out of range")
-            object.__setattr__(self, name, m)
+            a = getattr(self, name)
+            if a is not None:
+                a = np.asarray(a)
+                integer = a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
+                if a.shape != (self.n,) or not integer or (a < -1).any():
+                    raise InputError(f"{name} must be integers >= -1 of shape ({self.n},)")
+                object.__setattr__(self, name, a.astype(np.int64))
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None, sublabels=None) -> "WeightedGraph":
@@ -131,18 +131,13 @@ class WeightedGraph:
         idx = np.unique(np.asarray(list(nodes), dtype=np.int64))
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise InputError("subgraph node out of range")
-        pos = {int(v): p for p, v in enumerate(idx)}
         members = np.zeros(self.n, dtype=bool)
         members[idx] = True
         keep = members[self.rows] & members[self.cols]
         remap = np.zeros(self.n, dtype=np.int64)
         remap[idx] = np.arange(idx.size)
-        labels = None
-        if self.labels is not None:
-            labels = {pos[int(v)]: self.labels[int(v)] for v in idx if int(v) in self.labels}
-        subl = None
-        if self.sublabels is not None:
-            subl = {pos[int(v)]: self.sublabels[int(v)] for v in idx if int(v) in self.sublabels}
+        labels = None if self.labels is None else self.labels[idx]
+        subl = None if self.sublabels is None else self.sublabels[idx]
         return WeightedGraph(
             idx.size, remap[self.rows[keep]], remap[self.cols[keep]],
             self.weights[keep], labels, subl,

@@ -23,6 +23,12 @@ from .errors import InputError, UnequalBeadSizes
 from .operators import WeightedGraph
 
 
+def _check_label(label) -> None:
+    # graphs store group ids as int64 and reserve -1 for "unlabeled"
+    if label is not None and not 0 <= label <= np.iinfo(np.int64).max:
+        raise InputError(f"bead label {label} outside 0..2^63-1")
+
+
 @dataclass(frozen=True)
 class ERBead:
     n: int
@@ -34,6 +40,7 @@ class ERBead:
             raise InputError("bead size must be >= 1")
         if not 0.0 <= self.p <= 1.0:
             raise InputError("edge probability must lie in [0, 1]")
+        _check_label(self.label)
 
     @property
     def size(self) -> int:
@@ -56,6 +63,7 @@ class TwoModuleBead:
         for p in (self.p1, self.p2):
             if not 0.0 <= p <= 1.0:
                 raise InputError("edge probability must lie in [0, 1]")
+        _check_label(self.label)
         if self.p1 < self.p2:
             warnings.warn("p1 < p2: the planted split is anti-modular", stacklevel=2)
 
@@ -163,37 +171,33 @@ def generate_two_module(
     bead = TwoModuleBead(n1, n2, p1, p2)
     n = bead.size
     i, j = _bead_pairs(_stream(seed, (0, 0)), bead, np.arange(n))
-    labels = {v: (0 if v < n1 else 1) for v in range(n)}
-    return WeightedGraph(n, i, j, np.ones(i.size), labels)
+    return WeightedGraph(n, i, j, np.ones(i.size), np.repeat([0, 1], [n1, n2]))
 
 
 def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
     """Union of bead subgraphs plus interaction edges.
 
     Node labels record the bead index (or the bead's explicit label);
-    sublabels record module membership inside 2-module beads.
+    sublabels record module membership inside 2-module beads (-1 in ER
+    beads), and are None when no bead has modules.
     """
     offsets = np.cumsum([0] + [b.size for b in spec.beads])
     n = int(offsets[-1])
     parts_i: list[np.ndarray] = []
     parts_j: list[np.ndarray] = []
     parts_w: list[np.ndarray] = []
-    labels: dict[int, int] = {}
-    sublabels: dict[int, int] = {}
     for t, bead in enumerate(spec.beads):
         nodes = np.arange(offsets[t], offsets[t + 1])
         i, j = _bead_pairs(_stream(spec.seed, (0, t)), bead, nodes)
         parts_i.append(i)
         parts_j.append(j)
         parts_w.append(np.ones(i.size))
-        group = bead.label if bead.label is not None else t
-        for v in nodes:
-            labels[int(v)] = group
-        if isinstance(bead, TwoModuleBead):
-            for v in nodes[: bead.n1]:
-                sublabels[int(v)] = 0
-            for v in nodes[bead.n1 :]:
-                sublabels[int(v)] = 1
+    groups = [t if b.label is None else b.label for t, b in enumerate(spec.beads)]
+    labels = np.repeat(np.array(groups, dtype=np.int64), np.diff(offsets))
+    sublabels = np.concatenate([
+        np.repeat([0, 1], [b.n1, b.n2]) if isinstance(b, TwoModuleBead) else np.full(b.n, -1)
+        for b in spec.beads
+    ])
 
     inter = spec.interaction
     if isinstance(inter, PathRandom):
@@ -225,7 +229,7 @@ def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
     i = np.concatenate(parts_i) if parts_i else np.zeros(0, dtype=np.int64)
     j = np.concatenate(parts_j) if parts_j else np.zeros(0, dtype=np.int64)
     w = np.concatenate(parts_w) if parts_w else np.zeros(0)
-    return WeightedGraph(n, i, j, w, labels, sublabels or None)
+    return WeightedGraph(n, i, j, w, labels, sublabels if (sublabels >= 0).any() else None)
 
 
 def tensor_block(k: int, w: WeightedGraph) -> WeightedGraph:
@@ -239,13 +243,10 @@ def tensor_block(k: int, w: WeightedGraph) -> WeightedGraph:
     parts_i = [w.rows + c * n for c in range(k)]
     parts_j = [w.cols + c * n for c in range(k)]
     weights = np.tile(w.weights, k)
-    labels = {c * n + v: c for c in range(k) for v in range(n)}
-    sublabels = None
-    if w.labels is not None:
-        sublabels = {c * n + v: g for c in range(k) for v, g in w.labels.items()}
+    sublabels = None if w.labels is None else np.tile(w.labels, k)
     return WeightedGraph(
         k * n, np.concatenate(parts_i), np.concatenate(parts_j), weights,
-        labels, sublabels,
+        np.repeat(np.arange(k), n), sublabels,
     )
 
 

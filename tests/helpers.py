@@ -184,7 +184,7 @@ def ref_parse_graph(path, label_path=None) -> WeightedGraph:
     pairs = sorted(weights)
     labels = sublabels = None
     if label_path is not None:
-        labels, sublabels = parse_labels(label_path)
+        labels, sublabels = parse_labels(label_path, n)
     i = np.array([p[0] for p in pairs], dtype=np.int64)
     j = np.array([p[1] for p in pairs], dtype=np.int64)
     w = np.array([weights[p] for p in pairs])
@@ -224,7 +224,7 @@ def ref_emit_report(report, out_dir) -> list[Path]:
             written.append(p)
 
         lines = ["rank,eigenvalue,sq_spectrum_frac"]
-        for j, lam in enumerate(report.lambdas):
+        for j, lam in enumerate(report.basis.lambdas):
             lines.append(f"{j},{ref_fmt(lam)},{ref_fmt(report.sq_spectrum[j])}")
         put("spectrum.csv", "\n".join(lines) + "\n")
 
@@ -281,3 +281,36 @@ def ref_emit_report(report, out_dir) -> list[Path]:
         return written
     except OSError as exc:
         raise IoError(f"cannot write report to {out}: {exc}") from exc
+
+
+# ------------------------------------------------------------------------
+# Reference implementation: eigenloc.clustering.sweep_cut's node-by-node
+# loop as it was before the cut became a prefix sum over edges.
+
+
+def ref_sweep_cut(v, g: WeightedGraph):
+    """-> (side, conductance) of the minimum-conductance prefix along v."""
+    n = g.n
+    order = np.lexsort((np.arange(n), -np.asarray(v, dtype=np.float64)))
+    A = g.adjacency
+    d = g.degrees
+    total = float(d.sum())
+    in_s = np.zeros(n, dtype=bool)
+    vol = 0.0
+    cut = 0.0
+    best_phi = np.inf
+    best_t = -1
+    for t in range(n - 1):
+        u = order[t]
+        row = slice(A.indptr[u], A.indptr[u + 1])
+        to_s = float(A.data[row][in_s[A.indices[row]]].sum())
+        cut += d[u] - 2.0 * to_s
+        vol += d[u]
+        in_s[u] = True
+        phi = cut / min(vol, total - vol)
+        if phi < best_phi:
+            best_phi = phi
+            best_t = t
+    side = np.zeros(n, dtype=bool)
+    side[order[: best_t + 1]] = True
+    return side, float(best_phi)

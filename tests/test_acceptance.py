@@ -258,7 +258,7 @@ def test_c10_round_trip_and_byte_identical_reports(tmp_path):
         write_labels(g, lp)
         back = parse_graph(gp, lp)
         assert back.edges == g.edges
-        assert back.labels == g.labels
+        assert np.array_equal(back.labels, g.labels)
 
         dirs = (tmp_path / "first", tmp_path / "second")
         for d in dirs:

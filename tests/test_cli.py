@@ -11,8 +11,10 @@ from eigenloc import (
     TwoModuleBead,
     cli,
     generate_bead_chain,
+    generate_grid,
     parse_graph,
     save_spec,
+    spec_to_json,
     write_graph,
 )
 from eigenloc.errors import ConvergenceFailure
@@ -42,8 +44,8 @@ def test_generate_writes_graph_and_labels(chain_files, capsys):
     g = parse_graph(graph_path, label_path)
     direct = generate_bead_chain(CHAIN)
     assert g.edges == direct.edges
-    assert g.labels == direct.labels
-    assert g.sublabels == direct.sublabels
+    assert np.array_equal(g.labels, direct.labels)
+    assert np.array_equal(g.sublabels, direct.sublabels)
 
 
 def test_generate_seed_override(tmp_path):
@@ -237,6 +239,55 @@ def test_size_line_beyond_int64_exits_2(tmp_path, capsys):
     )
     assert cli.main(["ipr", str(bad)]) == 2
     assert "line 2: matrix size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (f"4,{10**30}", "group 1000000000000000000000000000000 outside"),
+        ("4,-1", "group -1 outside"),
+        ("4,0,-3", "subgroup -3 outside"),
+        ("9,0", "node 9 outside 0..8"),
+    ],
+)
+def test_label_ids_out_of_range_exit_2(tmp_path, capsys, row, message):
+    graph = tmp_path / "grid.mtx"
+    write_graph(generate_grid(3, 3), graph)
+    rows = [f"{v},0,0" for v in range(9)]
+    rows[4] = row
+    labels = tmp_path / "big.csv"
+    labels.write_text("node_id,group_id,subgroup_id\n" + "\n".join(rows) + "\n")
+    argv = ["analyze", str(graph), "--labels", str(labels), "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert f"line 6: {message}" in capsys.readouterr().err
+
+
+def test_negative_bead_label_in_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "chain.json"
+    doc = spec_to_json(CHAIN)
+    doc["beads"][1]["label"] = -1
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["generate", str(spec), "--out", str(tmp_path / "g.mtx")]) == 2
+    assert "bead label -1 outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_size_beyond_memory_exits_2(tmp_path, capsys, with_labels):
+    # one int64 array of 10^15 nodes is 8 PB, beyond any 48-bit address
+    # space, so the allocation fails at once even with memory overcommit
+    graph = tmp_path / "huge.mtx"
+    graph.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "1000000000000000 1000000000000000 1\n2 1 1.0\n"
+    )
+    argv = ["ipr", str(graph)]
+    if with_labels:
+        labels = tmp_path / "huge.labels.csv"
+        labels.write_text("node_id,group_id\n0,0\n1,0\n")
+        argv += ["--labels", str(labels)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):

@@ -2,13 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eigenloc import (
     Partition,
+    PathRandom,
+    TwoLevelSpec,
+    TwoModuleBead,
     detect_transition,
+    generate_bead_chain,
     ipr_curve,
     partition_agreement,
     restrict_and_compare,
@@ -30,6 +34,7 @@ from helpers import (
     graph_from_dense,
     path_graph,
     random_connected_graph,
+    ref_sweep_cut,
     two_triangles_bridge,
 )
 
@@ -71,6 +76,32 @@ def test_sweep_matches_exhaustive_enumeration():
         v = rng.normal(size=g.n)
         part = sweep_cut(v, g)
         phi, _ = exhaustive_best_prefix(v, g)
+        assert part.conductance == phi
+
+
+def test_sweep_matches_node_by_node_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        # unit weights sum exactly, so the prefix sums reproduce the loop bitwise
+        g = random_connected_graph(rng, n_max=60, weighted=False)
+        v = rng.normal(size=g.n)
+        side, phi = ref_sweep_cut(v, g)
+        part = sweep_cut(v, g)
+        assert np.array_equal(part.side, side)
+        assert part.conductance == phi
+        # weighted sums are added in another order: phi agrees to rounding
+        g = random_connected_graph(rng, n_max=60, weighted=True)
+        v = rng.normal(size=g.n)
+        side, phi = ref_sweep_cut(v, g)
+        assert sweep_cut(v, g).conductance == pytest.approx(phi, rel=1e-12, abs=0)
+    chain = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(100, 100, 0.2, 0.02),) * 5, PathRandom(0.002), seed=9)
+    )
+    basis = spectrum_random_walk(chain, k=4)
+    for rank in range(1, 4):
+        side, phi = ref_sweep_cut(basis.vectors[:, rank], chain)
+        part = sweep_cut(basis.vectors[:, rank], chain)
+        assert np.array_equal(part.side, side)
         assert part.conductance == phi
 
 
@@ -241,6 +272,11 @@ def test_detect_transition_on_real_curve_of_homogeneous_graph():
 )
 @settings(max_examples=40, deadline=None)
 def test_sweep_scale_invariance(v, scale):
+    # scaling can round two entries together or underflow (v=[-5e-324, 0],
+    # scale=0.5 gives [-0.0, 0.0]); the cut is invariant whenever the sweep
+    # order is
+    idx = np.arange(len(v))
+    assume(np.array_equal(np.lexsort((idx, -v)), np.lexsort((idx, -(v * scale)))))
     g = path_graph(len(v))
     a = sweep_cut(v, g)
     b = sweep_cut(v * scale, g)

@@ -144,7 +144,7 @@ def test_graph_round_trip_preserves_everything(tmp_path):
     back = parse_graph(gp, lp)
     assert back.n == g.n
     assert back.edges == g.edges
-    assert back.labels == g.labels
+    assert np.array_equal(back.labels, g.labels)
     assert back.sublabels is None
 
 
@@ -159,8 +159,23 @@ def test_round_trip_with_sublabels_and_awkward_weights(tmp_path):
     write_labels(g, lp)
     back = parse_graph(gp, lp)
     assert back.edges == g.edges  # exact float equality via 17 digits
-    assert back.labels == g.labels
-    assert back.sublabels == g.sublabels
+    assert np.array_equal(back.labels, g.labels)
+    assert np.array_equal(back.sublabels, g.sublabels)
+
+
+def test_write_labels_bytes_mixing_er_and_labeled_two_module_beads(tmp_path):
+    # ER beads carry no module, so their subgroup cell is empty
+    spec = TwoLevelSpec(
+        (ERBead(3, 1.0), TwoModuleBead(2, 2, 1.0, 0.5, label=7), ERBead(2, 1.0, label=4)),
+        PathRandom(1.0),
+        seed=0,
+    )
+    lp = tmp_path / "chain.labels.csv"
+    write_labels(generate_bead_chain(spec), lp)
+    assert lp.read_bytes() == (
+        b"node_id,group_id,subgroup_id\n"
+        b"0,0,\n1,0,\n2,0,\n3,7,0\n4,7,0\n5,7,1\n6,7,1\n7,4,\n8,4,\n"
+    )
 
 
 def test_write_labels_requires_labels(tmp_path):
@@ -171,12 +186,12 @@ def test_write_labels_requires_labels(tmp_path):
 def test_parse_labels_headerless_and_duplicates(tmp_path):
     p = tmp_path / "lab.csv"
     p.write_text("0,1\n1,0\n2,1\n")
-    labels, sublabels = parse_labels(p)
-    assert labels == {0: 1, 1: 0, 2: 1}
+    labels, sublabels = parse_labels(p, 3)
+    assert labels.tolist() == [1, 0, 1]
     assert sublabels is None
     p.write_text("node_id,group_id\n0,1\n0,2\n")
     with pytest.raises(ParseError):
-        parse_labels(p)
+        parse_labels(p, 3)
 
 
 def test_migration_round_trip(tmp_path):

@@ -127,20 +127,25 @@ def test_graph_canonicalizes_edge_order():
 
 
 def test_graph_label_validation():
+    for bad in ([0], [0, 0, 0], [0, -2], [0.0, 1.0], np.array([0, 1], dtype=np.uint64)):
+        with pytest.raises(InputError):
+            WeightedGraph.from_edges(2, [(0, 1, 1.0)], labels=bad)
     with pytest.raises(InputError):
-        WeightedGraph.from_edges(2, [(0, 1, 1.0)], labels={5: 0})
+        WeightedGraph.from_edges(2, [(0, 1, 1.0)], sublabels=[[0, 1]])
+    g = WeightedGraph.from_edges(2, [(0, 1, 1.0)], labels=np.array([3, -1], dtype=np.int8))
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [3, -1]
 
 
 def test_subgraph_induces_edges_and_labels():
     g = WeightedGraph.from_edges(
         5,
         [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 4, 4.0)],
-        labels={i: i % 2 for i in range(5)},
+        labels=np.arange(5) % 2,
     )
     sub = g.subgraph([1, 2, 3])
     assert sub.n == 3
     assert sub.edges == [(0, 1, 2.0), (1, 2, 3.0)]
-    assert sub.labels == {0: 1, 1: 0, 2: 1}
+    assert sub.labels.tolist() == [1, 0, 1]
 
 
 def test_dense_guard():

@@ -60,7 +60,7 @@ def test_two_module_extremes():
     g = generate_two_module(4, 3, 1.0, 0.0, seed=0)
     assert g.edge_count == 6 + 3  # two cliques, no cross edges
     assert all((i < 4) == (j < 4) for i, j, _ in g.edges)
-    assert g.labels == {v: (0 if v < 4 else 1) for v in range(7)}
+    assert g.labels.tolist() == [0, 0, 0, 0, 1, 1, 1]
 
 
 def test_two_module_equal_densities_match_er_statistics():
@@ -95,7 +95,7 @@ def test_single_bead_chain_equals_bead_graph():
     alone = generate_two_module(8, 7, 0.7, 0.1, seed=3)
     assert chain.edges == alone.edges
     assert all(chain.labels[v] == 0 for v in range(chain.n))
-    assert chain.sublabels == alone.labels
+    assert np.array_equal(chain.sublabels, alone.labels)
 
 
 def test_er_matches_bead_zero_stream():
@@ -154,10 +154,8 @@ def test_seed_determinism_and_prefix_stability():
 def test_chain_label_completeness():
     beads = (ERBead(5, 0.5), TwoModuleBead(3, 4, 0.9, 0.1), ERBead(5, 0.5, label=77))
     g = generate_bead_chain(TwoLevelSpec(beads, PathRandom(0.3), seed=0))
-    assert set(g.labels) == set(range(g.n))
-    assert [g.labels[v] for v in (0, 5, 12)] == [0, 1, 77]
-    assert set(g.sublabels) == set(range(5, 12))
-    assert [g.sublabels[v] for v in range(5, 12)] == [0, 0, 0, 1, 1, 1, 1]
+    assert g.labels.tolist() == [0] * 5 + [1] * 7 + [77] * 5
+    assert g.sublabels.tolist() == [-1] * 5 + [0, 0, 0, 1, 1, 1, 1] + [-1] * 5
 
 
 def test_tensor_block_identity():
@@ -169,7 +167,7 @@ def test_tensor_block_two_edges():
     w = complete_graph(2)
     g = tensor_block(2, w)
     assert g.edges == [(0, 1, 1.0), (2, 3, 1.0)]
-    assert g.labels == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert g.labels.tolist() == [0, 0, 1, 1]
 
 
 def test_tensor_block_spectrum_repeats():
@@ -218,3 +216,10 @@ def test_spec_validation():
         ERBead(5, 1.5)
     with pytest.raises(InputError):
         PathIdentity(0.0)
+    # graphs keep group ids as int64 and reserve -1 for unlabeled nodes
+    for label in (-1, 2**63):
+        with pytest.raises(InputError):
+            ERBead(3, 0.5, label=label)
+        with pytest.raises(InputError):
+            TwoModuleBead(2, 2, 0.5, 0.1, label=label)
+    assert ERBead(3, 0.5, label=2**63 - 1).label == 2**63 - 1
