@@ -16,7 +16,7 @@ from .clustering import (
     sign_cut,
     sweep_cut,
 )
-from .diagnostics import AnalysisReport, EigRecord, analyze, group_mass_table
+from .diagnostics import AnalysisReport, analyze, group_mass_table
 from .eigensolver import (
     Eigenbasis,
     generalized_laplacian_eigs,
@@ -36,9 +36,7 @@ from .io import (
     write_labels,
 )
 from .localization import (
-    CSLVector,
     Histogram,
-    IPRCurve,
     csl,
     histogram,
     ipr,
@@ -73,13 +71,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "CSLVector",
     "Eigenbasis",
-    "EigRecord",
     "ERBead",
     "GlobalRandom",
     "Histogram",
-    "IPRCurve",
     "MigrationInput",
     "OperatorMatrix",
     "Partition",

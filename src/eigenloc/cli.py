@@ -94,7 +94,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_ipr(args) -> int:
     g = _load_graph(args)
     basis = _basis(args, g)
-    _emit_text(eio.ipr_csv(ipr_curve(basis), basis.degenerate), args.out)
+    _emit_text(eio.ipr_csv(basis, ipr_curve(basis)), args.out)
     return 0
 
 
@@ -109,12 +109,7 @@ def _cmd_sweep(args) -> int:
     g = _load_graph(args)
     basis = _basis(args, g)
     part = sweep_cut(basis.vectors[:, args.rank], g)
-    doc = {
-        "rank": args.rank,
-        "conductance": part.conductance,
-        "side": [int(x) for x in part.side],
-    }
-    _emit_text(eio._json_text(doc) + "\n", args.out)
+    _emit_text(eio.partition_json(args.rank, part) + "\n", args.out)
     return 0
 
 
@@ -122,14 +117,7 @@ def _cmd_transition(args) -> int:
     g = _load_graph(args)
     basis = _basis(args, g)
     report = detect_transition(ipr_curve(basis), window=args.window, factor=args.tau)
-    doc = {
-        "rank": report.rank,
-        "baseline": report.baseline,
-        "factor": report.factor,
-        "window": args.window,
-        "tau": args.tau,
-    }
-    _emit_text(eio._json_text(doc) + "\n", args.out)
+    _emit_text(eio.transition_json(report, args.window, args.tau), args.out)
     return 0
 
 
@@ -138,21 +126,16 @@ def _cmd_compare_restriction(args) -> int:
     if g.labels is None:
         raise MissingLabels("compare-restriction needs a label sidecar (--labels)")
     subset = (g.labels == args.group).nonzero()[0]
+    if subset.size == 0:
+        raise MissingLabels(f"no node carries group {args.group}")
     basis = _basis(args, g)
     dist, v_r, v_l = restrict_and_compare(basis.vectors[:, args.rank], subset, g)
     sub = g.subgraph(subset)
     cut_r = sweep_cut(v_r, sub)
     cut_l = sweep_cut(v_l, sub)
-    doc = {
-        "rank": args.rank,
-        "group": args.group,
-        "subset_size": len(subset),
-        "distance": dist,
-        "identical_sweep_cut": partition_agreement(cut_r, cut_l) == 1.0,
-        "conductance_restricted": cut_r.conductance,
-        "conductance_local": cut_l.conductance,
-    }
-    _emit_text(eio._json_text(doc) + "\n", args.out)
+    identical = partition_agreement(cut_r, cut_l) == 1.0
+    text = eio.restriction_json(args.rank, args.group, len(subset), dist, identical, cut_r, cut_l)
+    _emit_text(text, args.out)
     return 0
 
 

@@ -14,7 +14,6 @@ from .errors import (
     SubsetTooSmall,
 )
 from .eigensolver import _sign_normalize, spectrum_random_walk
-from .localization import IPRCurve
 from .operators import WeightedGraph
 
 
@@ -126,11 +125,10 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     return dist, v_r, v_local
 
 
-def detect_transition(
-    curve: IPRCurve, window: int = 10, factor: float = 5.0
-) -> TransitionReport:
+def detect_transition(curve, window: int = 10, factor: float = 5.0) -> TransitionReport:
     """First rank whose IPR jumps clear of the preceding delocalized floor.
 
+    curve holds one IPR per rank, in rank order, as ipr_curve returns it.
     A rank j >= 2 fires when ipr_j >= factor * min(ipr over the up-to-window
     preceding ranks). The minimum anchors the floor at the flattest preceding
     eigenvector; on a connected graph rank 0 scores exactly 1/n, so factor
@@ -142,7 +140,7 @@ def detect_transition(
     if factor <= 1:
         # a jump factor at or below 1 would fire on every curve
         raise InputError("factor must be > 1")
-    values = curve.values
+    values = np.asarray(curve, dtype=np.float64)
     if values.size < window + 1:
         raise CurveTooShort(
             f"curve has {values.size} entries; need at least {window + 1}"

@@ -9,33 +9,22 @@ import numpy as np
 from .clustering import Partition, TransitionReport, detect_transition, sweep_cut
 from .eigensolver import Eigenbasis, normalized_square_spectrum, spectrum_random_walk
 from .errors import InputError, MissingLabels, SizeMismatch
-from .localization import Histogram, IPRCurve, histogram, ipr_curve
+from .localization import Histogram, histogram, ipr_curve
 from .operators import WeightedGraph
 
 DEFAULT_K = 100
 
 
 @dataclass(frozen=True, eq=False)
-class EigRecord:
-    """One row of the per-eigenvector report."""
-
-    rank: int
-    eigenvalue: float
-    ipr: float
-    hist: Histogram
-    top_group: int | None
-    l2_frac: float | None
-    l1_frac: float | None
-    degenerate: bool
-
-
-@dataclass(frozen=True, eq=False)
 class AnalysisReport:
+    """Each quantity once: eigenvalues and degeneracy flags live in basis;
+    curve[j] is rank j's IPR and hists[j] the histogram of its entries."""
+
     basis: Eigenbasis
     sq_spectrum: np.ndarray
-    curve: IPRCurve
+    curve: np.ndarray
+    hists: tuple[Histogram, ...]
     transition: TransitionReport
-    records: tuple[EigRecord, ...]
     partitions: tuple[tuple[int, Partition], ...]
     group_table: tuple[tuple[int, int, float, float], ...] | None
     window: int
@@ -88,41 +77,19 @@ def analyze(
             raise InputError(f"sweep rank {r} outside computed range 0..{k - 1}")
     basis = spectrum_random_walk(g, k)
     curve = ipr_curve(basis)
-    if len(curve) >= window + 1:
+    if curve.size >= window + 1:
         transition = detect_transition(curve, window, tau)
     else:
         transition = TransitionReport(None, None, None)
 
     table = group_mass_table(basis, g.labels) if g.labels is not None else None
-    best: dict[int, tuple[int, float, float]] = {}
-    if table is not None:
-        for rank, group, l2, l1 in table:
-            if rank not in best or l2 > best[rank][1]:
-                best[rank] = (group, l2, l1)
-
-    records = []
-    for j in range(basis.k):
-        top = best.get(j)
-        records.append(
-            EigRecord(
-                rank=j,
-                eigenvalue=float(basis.lambdas[j]),
-                ipr=curve.entries[j][2],
-                hist=histogram(basis.vectors[:, j], nbins),
-                top_group=top[0] if top else None,
-                l2_frac=top[1] if top else None,
-                l1_frac=top[2] if top else None,
-                degenerate=bool(basis.degenerate[j]),
-            )
-        )
-
     partitions = tuple((r, sweep_cut(basis.vectors[:, r], g)) for r in sweep_ranks)
     return AnalysisReport(
         basis=basis,
         sq_spectrum=normalized_square_spectrum(basis.lambdas),
         curve=curve,
+        hists=tuple(histogram(basis.vectors[:, j], nbins) for j in range(basis.k)),
         transition=transition,
-        records=tuple(records),
         partitions=partitions,
         group_table=tuple(table) if table is not None else None,
         window=window,

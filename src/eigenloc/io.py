@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    AsymmetricFlow,
     DuplicateEdge,
     InputError,
     IoError,
@@ -26,7 +25,7 @@ from .errors import (
     NegativeWeight,
     ParseError,
 )
-from .localization import IPRCurve, csl
+from .localization import csl
 from .operators import MigrationInput, WeightedGraph
 from .twolevel import (
     Bead,
@@ -40,7 +39,9 @@ from .twolevel import (
 )
 
 if TYPE_CHECKING:
+    from .clustering import Partition, TransitionReport
     from .diagnostics import AnalysisReport
+    from .eigensolver import Eigenbasis
 
 
 def _format_rows(template: str, *columns) -> str:
@@ -229,31 +230,47 @@ def _mm_entries(path):
     return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
 
 
+def _node_rows(path, n: int, widths, columns: str, what: str, parse):
+    """Yield (line, node, *values) for each data row of a CSV keyed by node id.
+
+    Blank lines are skipped, and so is a first line whose first cell is not
+    an integer (a header). parse turns a row's cells into (node, *values) or
+    raises ValueError. A column count outside widths, a cell parse rejects, a
+    node outside 0..n-1 or a repeated node is a ParseError naming its line.
+    """
+    seen = np.zeros(n, dtype=bool)
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        s = raw.strip()
+        if not s:
+            continue
+        cells = [t.strip() for t in s.split(",")]
+        if lineno == 1 and not cells[0].lstrip("-").isdigit():
+            continue  # header row
+        if len(cells) not in widths:
+            raise ParseError(f"expected {columns}", line=lineno)
+        try:
+            node, *values = parse(cells)
+        except ValueError:
+            raise ParseError(f"bad {what} row {s!r}", line=lineno) from None
+        if not 0 <= node < n:
+            raise ParseError(f"node {node} outside 0..{n - 1}", line=lineno)
+        if seen[node]:
+            raise ParseError(f"duplicate {what} for node {node}", line=lineno)
+        seen[node] = True
+        yield lineno, node, *values
+
+
 def parse_labels(path, n: int):
     """-> (labels, sublabels or None) as int64 arrays of length n, -1 where a
     node has no row (or no subgroup); accepts an optional header row. Group
     and subgroup ids must lie in 0..2^63-1, since -1 marks "unlabeled"."""
     labels = np.full(n, -1, dtype=np.int64)
     sublabels = np.full(n, -1, dtype=np.int64)
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        toks = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not toks[0].lstrip("-").isdigit():
-            continue  # header row
-        if len(toks) not in (2, 3):
-            raise ParseError("expected node_id,group_id[,subgroup_id]", line=lineno)
-        try:
-            node = int(toks[0])
-            group = int(toks[1])
-            sub = int(toks[2]) if len(toks) == 3 and toks[2] != "" else None
-        except ValueError:
-            raise ParseError(f"bad label row {s!r}", line=lineno) from None
-        if not 0 <= node < n:
-            raise ParseError(f"node {node} outside 0..{n - 1}", line=lineno)
-        if labels[node] >= 0:
-            raise ParseError(f"duplicate label for node {node}", line=lineno)
+    rows = _node_rows(
+        path, n, (2, 3), "node_id,group_id[,subgroup_id]", "label",
+        lambda t: (int(t[0]), int(t[1]), int(t[2]) if len(t) == 3 and t[2] != "" else None),
+    )
+    for lineno, node, group, sub in rows:
         for what, value in (("group", group), ("subgroup", sub)):
             if value is not None and not 0 <= value <= _INDEX_MAX:
                 raise ParseError(f"{what} {value} outside 0..{_INDEX_MAX}", line=lineno)
@@ -313,53 +330,42 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
 # ------------------------------------------------------------- migration
 
 def parse_migration(flows_path, populations_path) -> MigrationInput:
-    """Flows as integer MatrixMarket; populations as CSV node_id,population."""
-    n, symmetry, field, *entries = _mm_entries(flows_path)
+    """Flows as integer MatrixMarket; populations as CSV node_id,population.
+
+    The first self-flow, repeated flow or count beyond int64 in file order is
+    the error, as for parse_graph's edges; MigrationInput checks signs and
+    symmetry. Populations must be finite.
+    """
+    n, symmetry, field, line, i, j, w = _mm_entries(flows_path)
     if field != "integer":
         raise ParseError("flow matrix must use the integer field", line=1)
+    # symmetric storage keys a flow by its unordered pair, general by (row, col)
+    a, b = (np.minimum(i, j), np.maximum(i, j)) if symmetry == "symmetric" else (i, j)
+    defects = np.stack([i == j, _repeats(a, b)[1], np.abs(w) >= 2.0**63])
+    if defects.any():
+        e = int(defects.any(axis=0).argmax())
+        kind = int(defects[:, e].argmax())
+        if kind == 1:
+            raise DuplicateEdge(int(a[e]), int(b[e]))
+        what = "self-flows are not allowed" if kind == 0 else f"flow count {w[e]:.17g} beyond int64"
+        raise ParseError(what, line=int(line[e]))
     M = np.zeros((n, n), dtype=np.int64)
-    seen = set()
-    for lineno, i, j, w in zip(*(a.tolist() for a in entries)):
-        if i == j:
-            raise ParseError("self-flows are not allowed", line=lineno)
-        key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
-        if key in seen:
-            raise DuplicateEdge(*key)
-        seen.add(key)
-        if symmetry == "symmetric":
-            M[i, j] = M[j, i] = int(w)
-        else:
-            M[i, j] = int(w)
-    if symmetry == "general":
-        bad = np.argwhere(M != M.T)
-        if bad.size:
-            raise AsymmetricFlow(int(bad[0][0]), int(bad[0][1]))
+    M[i, j] = w.astype(np.int64)
+    if symmetry == "symmetric":
+        M[j, i] = M[i, j]
 
-    pops = np.zeros(n)
-    got = np.zeros(n, dtype=bool)
-    lines = _read_text(populations_path).splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        toks = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not toks[0].lstrip("-").isdigit():
-            continue
-        if len(toks) != 2:
-            raise ParseError("expected node_id,population", line=lineno)
-        try:
-            node = int(toks[0])
-            pop = float(toks[1])
-        except ValueError:
-            raise ParseError(f"bad population row {s!r}", line=lineno) from None
-        if not 0 <= node < n:
-            raise ParseError(f"node {node} outside 0..{n - 1}", line=lineno)
-        if got[node]:
-            raise ParseError(f"duplicate population for node {node}", line=lineno)
-        got[node] = True
+    pops = np.full(n, np.nan)  # nan until the node's row is read
+    rows = _node_rows(
+        populations_path, n, (2,), "node_id,population", "population",
+        lambda t: (int(t[0]), float(t[1])),
+    )
+    for lineno, node, pop in rows:
+        if not math.isfinite(pop):
+            raise ParseError(f"non-finite population {pop!r}", line=lineno)
         pops[node] = pop
-    if not got.all():
-        raise MissingPopulation(int(np.argmax(~got)))
+    missing = np.isnan(pops)
+    if missing.any():
+        raise MissingPopulation(int(np.argmax(missing)))
     return MigrationInput(M, pops)
 
 
@@ -394,6 +400,13 @@ def _need(doc: dict, key: str, kinds, where: str):
     return val
 
 
+def _float(doc: dict, key: str, where: str) -> float:
+    try:
+        return float(_need(doc, key, (int, float), where))
+    except OverflowError:  # an integer literal beyond any float
+        raise ParseError(f"{where}: key {key!r} is out of range") from None
+
+
 def spec_from_json(doc) -> TwoLevelSpec:
     if isinstance(doc, (str, bytes)):
         try:
@@ -417,7 +430,7 @@ def spec_from_json(doc) -> TwoLevelSpec:
             beads.append(
                 ERBead(
                     int(_need(b, "n", int, f"bead {pos}")),
-                    float(_need(b, "p", (int, float), f"bead {pos}")),
+                    _float(b, "p", f"bead {pos}"),
                     label,
                 )
             )
@@ -426,8 +439,8 @@ def spec_from_json(doc) -> TwoLevelSpec:
                 TwoModuleBead(
                     int(_need(b, "n1", int, f"bead {pos}")),
                     int(_need(b, "n2", int, f"bead {pos}")),
-                    float(_need(b, "p1", (int, float), f"bead {pos}")),
-                    float(_need(b, "p2", (int, float), f"bead {pos}")),
+                    _float(b, "p1", f"bead {pos}"),
+                    _float(b, "p2", f"bead {pos}"),
                     label,
                 )
             )
@@ -437,11 +450,11 @@ def spec_from_json(doc) -> TwoLevelSpec:
     ikind = _need(idoc, "kind", str, "interaction")
     inter: Interaction
     if ikind == "path_random":
-        inter = PathRandom(float(_need(idoc, "p", (int, float), "interaction")))
+        inter = PathRandom(_float(idoc, "p", "interaction"))
     elif ikind == "path_identity":
-        inter = PathIdentity(float(_need(idoc, "eps", (int, float), "interaction")))
+        inter = PathIdentity(_float(idoc, "eps", "interaction"))
     elif ikind == "global_random":
-        inter = GlobalRandom(float(_need(idoc, "p", (int, float), "interaction")))
+        inter = GlobalRandom(_float(idoc, "p", "interaction"))
     else:
         raise ParseError(f"interaction: unknown kind {ikind!r}")
     seed = _need(doc, "seed", int, "spec")
@@ -478,16 +491,43 @@ def _json_text(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def ipr_csv(curve: IPRCurve, degenerate) -> str:
-    """ipr.csv: rank,eigenvalue,ipr,degenerate_flag for each entry of the curve."""
+def ipr_csv(basis: Eigenbasis, curve) -> str:
+    """ipr.csv: rank,eigenvalue,ipr,degenerate_flag per rank; curve = ipr_curve(basis)."""
     return "rank,eigenvalue,ipr,degenerate_flag\n" + _format_rows(
-        "%d,%.17g,%.17g,%d\n", *zip(*curve.entries), degenerate
+        "%d,%.17g,%.17g,%d\n", range(basis.k), basis.lambdas, curve, basis.degenerate
     )
 
 
 def eigvec_csv(v: np.ndarray) -> str:
     """eigvec_<rank>.csv: node,value,csl for each node of a unit eigenvector."""
-    return "node,value,csl\n" + _format_rows("%d,%.17g,%.17g\n", range(v.size), v, csl(v).scores)
+    return "node,value,csl\n" + _format_rows("%d,%.17g,%.17g\n", range(v.size), v, csl(v))
+
+
+def transition_json(t: TransitionReport, window: int, tau: float) -> str:
+    """transition.json, which the transition command also prints."""
+    doc = {"rank": t.rank, "baseline": t.baseline, "factor": t.factor, "window": window, "tau": tau}
+    return _json_text(doc) + "\n"
+
+
+def partition_json(rank: int, p: Partition) -> str:
+    """One sweep cut as a JSON object: the sweep command prints it, and
+    partitions.json lists one per requested rank."""
+    return _json_text({"rank": rank, "conductance": p.conductance, "side": [int(x) for x in p.side]})
+
+
+def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> str:
+    """compare-restriction's output: the distance between the restricted and the
+    group's own eigenvector, and whether their sweep cuts agree."""
+    doc = {
+        "rank": rank,
+        "group": group,
+        "subset_size": size,
+        "distance": distance,
+        "identical_sweep_cut": identical,
+        "conductance_restricted": cut_r.conductance,
+        "conductance_local": cut_l.conductance,
+    }
+    return _json_text(doc) + "\n"
 
 
 def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
@@ -502,52 +542,20 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
             p.write_text(text)
             written.append(p)
 
-        put(
-            "spectrum.csv",
-            "rank,eigenvalue,sq_spectrum_frac\n"
-            + _format_rows(
-                "%d,%.17g,%.17g\n", range(report.basis.k), report.basis.lambdas, report.sq_spectrum
-            ),
-        )
-        put("ipr.csv", ipr_csv(report.curve, report.basis.degenerate))
-        for rec in report.records:
-            put(f"eigvec_{rec.rank}.csv", eigvec_csv(report.basis.vectors[:, rec.rank]))
-            edges = rec.hist.bin_edges
-            put(
-                f"hist_{rec.rank}.csv",
-                "bin_lo,bin_hi,count\n"
-                + _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], rec.hist.counts),
-            )
-        put(
-            "groups.csv",
-            "rank,group,l2_frac,l1_frac\n"
-            + _format_rows("%d,%d,%.17g,%.17g\n", *zip(*(report.group_table or ()))),
-        )
-
-        t = report.transition
-        put(
-            "transition.json",
-            _json_text(
-                {
-                    "rank": t.rank,
-                    "baseline": t.baseline,
-                    "factor": t.factor,
-                    "window": report.window,
-                    "tau": report.tau,
-                }
-            )
-            + "\n",
-        )
-
-        parts = [
-            {
-                "rank": rank,
-                "conductance": p.conductance,
-                "side": [int(x) for x in p.side],
-            }
-            for rank, p in report.partitions
-        ]
-        put("partitions.json", _json_text(parts) + "\n")
+        basis = report.basis
+        spectrum = _format_rows("%d,%.17g,%.17g\n", range(basis.k), basis.lambdas, report.sq_spectrum)
+        put("spectrum.csv", "rank,eigenvalue,sq_spectrum_frac\n" + spectrum)
+        put("ipr.csv", ipr_csv(basis, report.curve))
+        for rank, hist in enumerate(report.hists):
+            put(f"eigvec_{rank}.csv", eigvec_csv(basis.vectors[:, rank]))
+            edges = hist.bin_edges
+            bins = _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], hist.counts)
+            put(f"hist_{rank}.csv", "bin_lo,bin_hi,count\n" + bins)
+        groups = _format_rows("%d,%d,%.17g,%.17g\n", *zip(*(report.group_table or ())))
+        put("groups.csv", "rank,group,l2_frac,l1_frac\n" + groups)
+        put("transition.json", transition_json(report.transition, report.window, report.tau))
+        parts = ", ".join(partition_json(rank, p) for rank, p in report.partitions)
+        put("partitions.json", "[" + parts + "]\n")
         return written
     except OSError as exc:
         raise IoError(f"cannot write report to {out}: {exc}") from exc

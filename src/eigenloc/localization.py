@@ -17,29 +17,6 @@ NORM_TOL = 1e-6  # |sum(v^2) - 1| above this is rejected
 
 
 @dataclass(frozen=True, eq=False)
-class IPRCurve:
-    """Sequence of (rank, eigenvalue, ipr) in descending-eigenvalue order."""
-
-    entries: tuple[tuple[int, float, float], ...]
-    n: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e[2] for e in self.entries])
-
-
-@dataclass(frozen=True, eq=False)
-class CSLVector:
-    """Componentwise statistical leverage of one eigenvector."""
-
-    scores: np.ndarray
-    rank: int | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -64,19 +41,20 @@ def ipr(v) -> float:
     return float(np.sum(v ** 4) / (sq * sq))
 
 
-def csl(v, rank: int | None = None) -> CSLVector:
+def csl(v) -> np.ndarray:
     """Leverage scores v_i^2 / sum(v^2); nonnegative, summing to one."""
     v = np.asarray(v, dtype=np.float64).ravel()
     sq = _check_unit(v)
-    return CSLVector(v * v / sq, rank)
+    return v * v / sq
 
 
-def ipr_curve(basis: Eigenbasis) -> IPRCurve:
-    entries = tuple(
-        (j, float(basis.lambdas[j]), ipr(basis.vectors[:, j]))
-        for j in range(basis.k)
-    )
-    return IPRCurve(entries, basis.n)
+def ipr_curve(basis: Eigenbasis) -> np.ndarray:
+    """The IPR of every rank's eigenvector, in rank order (float64, length k).
+
+    One ipr() per column: a single reduction over the whole matrix would add
+    in another order and change the last digit.
+    """
+    return np.array([ipr(basis.vectors[:, j]) for j in range(basis.k)], dtype=np.float64)
 
 
 def mass_concentration(v, subset) -> tuple[float, float]:

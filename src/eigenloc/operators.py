@@ -146,7 +146,7 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class MigrationInput:
-    """Symmetric integer flow counts plus positive populations."""
+    """Symmetric integer flow counts plus finite positive populations."""
 
     flows: np.ndarray
     pops: np.ndarray
@@ -166,6 +166,8 @@ class MigrationInput:
             raise AsymmetricFlow(i, j)
         if np.any(np.diag(M) != 0):
             raise InputError("self-flows are not allowed")
+        if not np.isfinite(P).all():
+            raise InputError(f"population of node {int(np.argmax(~np.isfinite(P)))} is not finite")
         if np.any(P <= 0):
             raise NonpositivePopulation(int(np.argmax(P <= 0)))
         object.__setattr__(self, "flows", M)

@@ -23,6 +23,15 @@ from .errors import InputError, UnequalBeadSizes
 from .operators import WeightedGraph
 
 
+# every pair array a bead's generation allocates stays below numpy's size limit
+MAX_BEAD_NODES = 10**9
+
+
+def _check_size(size: int) -> None:
+    if not 1 <= size <= MAX_BEAD_NODES:
+        raise InputError(f"bead size must lie in 1..{MAX_BEAD_NODES}")
+
+
 def _check_label(label) -> None:
     # graphs store group ids as int64 and reserve -1 for "unlabeled"
     if label is not None and not 0 <= label <= np.iinfo(np.int64).max:
@@ -36,8 +45,7 @@ class ERBead:
     label: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("bead size must be >= 1")
+        _check_size(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise InputError("edge probability must lie in [0, 1]")
         _check_label(self.label)
@@ -60,6 +68,7 @@ class TwoModuleBead:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise InputError("module sizes must be >= 1")
+        _check_size(self.size)
         for p in (self.p1, self.p2):
             if not 0.0 <= p <= 1.0:
                 raise InputError("edge probability must lie in [0, 1]")
@@ -89,8 +98,8 @@ class PathIdentity:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InputError("identity coupling weight must be > 0")
+        if not 0 < self.eps < np.inf:
+            raise InputError("identity coupling weight must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,8 @@ class TwoLevelSpec:
         object.__setattr__(self, "beads", beads)
         if len(beads) == 0:
             raise InputError("need at least one bead")
+        if self.seed < 0:  # SeedSequence takes nonnegative entropy only
+            raise InputError(f"seed {self.seed} is negative")
         if isinstance(self.interaction, PathIdentity):
             sizes = {b.size for b in beads}
             if len(sizes) > 1:

@@ -6,8 +6,16 @@ from pathlib import Path
 
 import numpy as np
 
-from eigenloc import WeightedGraph
-from eigenloc.errors import DuplicateEdge, InputError, IoError, NegativeWeight, ParseError
+from eigenloc import MigrationInput, WeightedGraph
+from eigenloc.errors import (
+    AsymmetricFlow,
+    DuplicateEdge,
+    InputError,
+    IoError,
+    MissingPopulation,
+    NegativeWeight,
+    ParseError,
+)
 from eigenloc.io import parse_labels
 from eigenloc.localization import csl
 
@@ -57,8 +65,9 @@ def two_triangles_bridge() -> WeightedGraph:
 
 
 # ------------------------------------------------------------------------
-# Reference implementations: eigenloc.io's per-line MatrixMarket scan and
-# per-value writers as they were before parsing and formatting went bulk.
+# Reference implementations: eigenloc.io's per-line MatrixMarket scan, its
+# per-entry migration reader and its per-value writers as they were before
+# parsing and formatting went bulk.
 # The differential tests in test_io_bulk.py hold the library to these.
 
 
@@ -191,6 +200,57 @@ def ref_parse_graph(path, label_path=None) -> WeightedGraph:
     return WeightedGraph(n, i, j, w, labels, sublabels)
 
 
+def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
+    """Flows as integer MatrixMarket; populations as CSV node_id,population."""
+    n, symmetry, field, entries = ref_mm_entries(flows_path)
+    if field != "integer":
+        raise ParseError("flow matrix must use the integer field", line=1)
+    M = np.zeros((n, n), dtype=np.int64)
+    seen = set()
+    for lineno, i, j, w in entries:
+        if i == j:
+            raise ParseError("self-flows are not allowed", line=lineno)
+        key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
+        if key in seen:
+            raise DuplicateEdge(*key)
+        seen.add(key)
+        if symmetry == "symmetric":
+            M[i, j] = M[j, i] = int(w)
+        else:
+            M[i, j] = int(w)
+    if symmetry == "general":
+        bad = np.argwhere(M != M.T)
+        if bad.size:
+            raise AsymmetricFlow(int(bad[0][0]), int(bad[0][1]))
+
+    pops = np.zeros(n)
+    got = np.zeros(n, dtype=bool)
+    lines = Path(populations_path).read_text().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        s = raw.strip()
+        if not s:
+            continue
+        toks = [t.strip() for t in s.split(",")]
+        if lineno == 1 and not toks[0].lstrip("-").isdigit():
+            continue
+        if len(toks) != 2:
+            raise ParseError("expected node_id,population", line=lineno)
+        try:
+            node = int(toks[0])
+            pop = float(toks[1])
+        except ValueError:
+            raise ParseError(f"bad population row {s!r}", line=lineno) from None
+        if not 0 <= node < n:
+            raise ParseError(f"node {node} outside 0..{n - 1}", line=lineno)
+        if got[node]:
+            raise ParseError(f"duplicate population for node {node}", line=lineno)
+        got[node] = True
+        pops[node] = pop
+    if not got.all():
+        raise MissingPopulation(int(np.argmax(~got)))
+    return MigrationInput(M, pops)
+
+
 def ref_json_text(obj) -> str:
     """JSON with floats at 17 significant digits, insertion-ordered keys."""
     if obj is None:
@@ -229,25 +289,27 @@ def ref_emit_report(report, out_dir) -> list[Path]:
         put("spectrum.csv", "\n".join(lines) + "\n")
 
         lines = ["rank,eigenvalue,ipr,degenerate_flag"]
-        for rec in report.records:
+        basis = report.basis
+        for rank in range(basis.k):
+            eigenvalue, ipr, degenerate = basis.lambdas[rank], report.curve[rank], basis.degenerate[rank]
             lines.append(
-                f"{rec.rank},{ref_fmt(rec.eigenvalue)},{ref_fmt(rec.ipr)},{int(rec.degenerate)}"
+                f"{rank},{ref_fmt(eigenvalue)},{ref_fmt(ipr)},{int(degenerate)}"
             )
         put("ipr.csv", "\n".join(lines) + "\n")
 
-        for rec in report.records:
-            v = report.basis.vectors[:, rec.rank]
-            lev = csl(v).scores
+        for rank, hist in enumerate(report.hists):
+            v = report.basis.vectors[:, rank]
+            lev = csl(v)
             lines = ["node,value,csl"]
             for node in range(v.size):
                 lines.append(f"{node},{ref_fmt(v[node])},{ref_fmt(lev[node])}")
-            put(f"eigvec_{rec.rank}.csv", "\n".join(lines) + "\n")
+            put(f"eigvec_{rank}.csv", "\n".join(lines) + "\n")
 
             lines = ["bin_lo,bin_hi,count"]
-            edges = rec.hist.bin_edges
-            for b, count in enumerate(rec.hist.counts):
+            edges = hist.bin_edges
+            for b, count in enumerate(hist.counts):
                 lines.append(f"{ref_fmt(edges[b])},{ref_fmt(edges[b + 1])},{int(count)}")
-            put(f"hist_{rec.rank}.csv", "\n".join(lines) + "\n")
+            put(f"hist_{rank}.csv", "\n".join(lines) + "\n")
 
         lines = ["rank,group,l2_frac,l1_frac"]
         for rank, group, l2, l1 in report.group_table or ():

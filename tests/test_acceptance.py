@@ -82,13 +82,13 @@ def test_c01_ipr_csl_limiting_cases_exact():
         for n in (2, 10, 1000):
             uniform = np.full(n, 1 / np.sqrt(n))
             assert abs(ipr(uniform) - 1 / n) <= 1e-12
-            assert np.abs(csl(uniform).scores - 1 / n).max() <= 1e-12
+            assert np.abs(csl(uniform) - 1 / n).max() <= 1e-12
             delta = np.zeros(n)
             delta[0] = 1.0
             assert abs(ipr(delta) - 1.0) <= 1e-12
             e1 = np.zeros(n)
             e1[0] = 1.0
-            assert np.abs(csl(delta).scores - e1).max() <= 1e-12
+            assert np.abs(csl(delta) - e1).max() <= 1e-12
 
 
 def test_c02_eigensolver_invariants_100_random_graphs():
@@ -123,11 +123,10 @@ def test_c04_flat_ipr_baselines_grid_and_random():
     with budget(300.0):
 
         def is_flat(g):
-            curve = ipr_curve(spectrum_random_walk(g))
-            vals = curve.values
+            vals = ipr_curve(spectrum_random_walk(g))
             return (
                 vals.max() <= 10 * np.median(vals)
-                and detect_transition(curve).rank is None
+                and detect_transition(vals).rank is None
             )
 
         assert is_flat(generate_grid(20, 30))
@@ -140,8 +139,7 @@ def test_c05_chain_localization_signatures():
         low_vs_mid = bead_mass = planted_split = fires_at_5 = 0
         for seed in range(10):
             g, basis = chain_case(seed, "path")
-            curve = ipr_curve(basis)
-            vals = curve.values
+            vals = ipr_curve(basis)
             if vals[1:5].mean() < vals[5:10].mean():
                 low_vs_mid += 1
             found = localized_midrank(g, basis)
@@ -153,7 +151,7 @@ def test_c05_chain_localization_signatures():
                 planted = Partition(np.array([g.sublabels[v] == 1 for v in nodes]))
                 if partition_agreement(sign_cut(restriction), planted) >= 0.95:
                     planted_split += 1
-            if detect_transition(curve).rank == 5:
+            if detect_transition(vals).rank == 5:
                 fires_at_5 += 1
         assert low_vs_mid >= 8
         assert bead_mass >= 8

@@ -306,3 +306,79 @@ def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
     argv = ["analyze", str(graph_path), "--out", str(tmp_path / "r"), "--ranks", "1,2"]
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+def er_spec_doc():
+    return {"beads": [{"kind": "er", "n": 4, "p": 1.0}], "interaction": {"kind": "path_random", "p": 0.5}, "seed": 3}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("p", 10**400, "bead 0: key 'p' is out of range"),
+        ("n", 10**30, "bead size must lie in 1..1000000000"),
+    ],
+    ids=["p_1e400", "n_1e30"],
+)
+def test_out_of_range_bead_in_spec_exits_2(tmp_path, capsys, key, value, message):
+    doc = er_spec_doc()
+    doc["beads"][0][key] = value
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["generate", str(spec), "--out", str(tmp_path / "g.mtx")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_huge_integer_interaction_in_spec_exits_2(tmp_path, capsys):
+    doc = er_spec_doc()
+    doc["interaction"]["p"] = -(10**400)
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["generate", str(spec), "--out", str(tmp_path / "g.mtx")]) == 2
+    assert "interaction: key 'p' is out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["spec", "flag"])
+def test_negative_seed_exits_2(tmp_path, capsys, where):
+    doc = er_spec_doc()
+    argv = []
+    if where == "spec":
+        doc["seed"] = -5
+    else:
+        argv = ["--seed", "-5"]
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["generate", str(spec), "--out", str(tmp_path / "g.mtx"), *argv]) == 2
+    assert "seed -5 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pops, line",
+    [
+        # an infinite population rounds every kernel weight of its node to 0
+        ("node_id,population\n0,100\n1,inf\n2,5\n", 3),
+        # a node with no flows never meets its population in the kernel
+        ("node_id,population\n0,100\n1,50\n2,nan\n", 4),
+    ],
+    ids=["inf", "nan"],
+)
+def test_nonfinite_population_exits_2(tmp_path, capsys, pops, line):
+    flows = tmp_path / "flows.mtx"
+    flows.write_text("%%MatrixMarket matrix coordinate integer symmetric\n3 3 1\n2 1 10\n")
+    pop_path = tmp_path / "pops.csv"
+    pop_path.write_text(pops)
+    out = tmp_path / "kernel.mtx"
+    assert cli.main(["migration-kernel", str(flows), str(pop_path), "--out", str(out)]) == 2
+    assert f"line {line}: non-finite population" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_restriction_absent_group_exits_2(tmp_path, capsys):
+    graph, labels = tmp_path / "g.mtx", tmp_path / "g.labels.csv"
+    write_graph(path_graph(4), graph)
+    labels.write_text("node_id,group_id\n0,0\n1,0\n2,7\n3,7\n")
+    argv = ["compare-restriction", str(graph), "--labels", str(labels), "--rank", "1", "--group", "3"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "no node carries group 3" in err
+    assert "at least 2 nodes" not in err

@@ -28,7 +28,6 @@ from eigenloc.errors import (
     SizeMismatch,
     SubsetTooSmall,
 )
-from eigenloc.localization import IPRCurve
 from helpers import (
     complete_graph,
     graph_from_dense,
@@ -212,9 +211,7 @@ def test_restriction_errors():
 
 
 def fake_curve(values):
-    n = len(values)
-    entries = tuple((j, 1.0 - j * 1e-3, float(x)) for j, x in enumerate(values))
-    return IPRCurve(entries=entries, n=n)
+    return np.array(values, dtype=np.float64)
 
 
 def test_detect_transition_flat_curve_silent():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,87 @@ def test_migration_rejections(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "symmetry, body, key",
+    [
+        # symmetric storage keys a flow by its unordered pair
+        ("symmetric", "3 3 2\n3 1 5\n1 3 5\n", (0, 2)),
+        # general storage keys it by (row, col), so the mirror is no duplicate
+        ("general", "3 3 3\n3 1 5\n1 3 5\n3 1 5\n", (2, 0)),
+    ],
+)
+def test_migration_duplicate_flow_names_its_key(tmp_path, symmetry, body, key):
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n2,1\n")
+    flows = mm(tmp_path, f"%%MatrixMarket matrix coordinate integer {symmetry}\n" + body)
+    with pytest.raises(DuplicateEdge) as exc:
+        parse_migration(flows, pops)
+    assert (exc.value.i, exc.value.j) == key
+
+
+@pytest.mark.parametrize("body, line", [("2 1 10\n3 3 4\n", 4), ("2 1 10\n% note\n2 2 4\n", 5)])
+def test_migration_self_flow_names_its_line(tmp_path, body, line):
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n2,1\n")
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n" + body)
+    with pytest.raises(ParseError, match=f"line {line}: self-flows are not allowed"):
+        parse_migration(flows, pops)
+
+
+def test_migration_flow_beyond_int64_names_its_line(tmp_path):
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n2,1\n")
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n2 1 10\n3 1 1e19\n")
+    with pytest.raises(ParseError, match="line 4: flow count 1e\\+19 beyond int64"):
+        parse_migration(flows, pops)
+
+
+def test_migration_two_defects_report_the_sign_first(tmp_path):
+    # MigrationInput checks signs before symmetry, so a negative flow is the
+    # error even though (0, 1) and (1, 0) also disagree
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n")
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 10\n2 1 -3\n")
+    with pytest.raises(InputError, match="negative flow count"):
+        parse_migration(flows, pops)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,50,7", "expected node_id,population"),
+        ("1,many", "bad population row '1,many'"),
+        ("x1,50", "bad population row 'x1,50'"),
+        ("3,50", "node 3 outside 0..2"),
+        ("0,50", "duplicate population for node 0"),
+    ],
+)
+def test_bad_population_row_names_its_line(tmp_path, row, message):
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n3 3 1\n2 1 10\n")
+    pops = tmp_path / "pops.csv"
+    pops.write_text(f"node_id,population\n\n0,100\n{row}\n1,5\n2,5\n")
+    with pytest.raises(ParseError, match=re.escape(f"line 4: {message}")):
+        parse_migration(flows, pops)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0,0,0", "expected node_id,group_id[,subgroup_id]"),
+        ("1", "expected node_id,group_id[,subgroup_id]"),
+        ("1,a", "bad label row '1,a'"),
+        ("9,a", "bad label row '9,a'"),
+        ("3,0", "node 3 outside 0..2"),
+        ("0,2", "duplicate label for node 0"),
+    ],
+)
+def test_bad_label_row_names_its_line(tmp_path, row, message):
+    p = tmp_path / "lab.csv"
+    p.write_text(f"node_id,group_id\n\n0,1\n{row}\n1,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"line 4: {message}")):
+        parse_labels(p, 3)
+
+
 def test_spec_json_round_trip(tmp_path):
     specs = [
         TwoLevelSpec((ERBead(10, 0.25),), PathRandom(0.05), seed=7),
@@ -314,7 +397,7 @@ def test_emit_report_values_round_trip_exactly(tmp_path):
     assert np.array_equal(values, report.basis.vectors[:, 1])
     ipr_rows = (tmp_path / "ipr.csv").read_text().splitlines()[1:]
     scores = [float(r.split(",")[2]) for r in ipr_rows]
-    assert scores == [rec.ipr for rec in report.records]
+    assert scores == report.curve.tolist()
     groups = (tmp_path / "groups.csv").read_text().splitlines()
     assert len(groups) == 1 + 4 * 2  # header + (rank, group) pairs
 

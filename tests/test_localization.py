@@ -54,18 +54,17 @@ def test_ipr_and_csl_reject_nonfinite(v):
 def test_csl_uniform_and_indicator():
     for n in (2, 10, 1000):
         uniform = np.full(n, 1.0 / np.sqrt(n))
-        assert np.abs(csl(uniform).scores - 1.0 / n).max() <= 1e-12
+        assert np.abs(csl(uniform) - 1.0 / n).max() <= 1e-12
         e1 = np.zeros(n)
         e1[0] = 1.0
         expected = np.zeros(n)
         expected[0] = 1.0
-        assert np.abs(csl(e1).scores - expected).max() <= 1e-12
+        assert np.abs(csl(e1) - expected).max() <= 1e-12
 
 
 def test_csl_example():
     v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    assert np.allclose(csl(v).scores, [0.5, 0.5, 0.0], atol=1e-12)
-    assert csl(v, rank=3).rank == 3
+    assert np.allclose(csl(v), [0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_ipr_curve_identity_basis():
@@ -77,13 +76,13 @@ def test_ipr_curve_identity_basis():
         clusters=np.zeros(n, dtype=int),
     )
     curve = ipr_curve(basis)
-    assert curve.n == n
-    assert np.allclose(curve.values, 1.0, atol=1e-12)
+    assert curve.dtype == np.float64 and curve.shape == (n,)
+    assert np.allclose(curve, 1.0, atol=1e-12)
 
 
 def test_ipr_curve_single_edge_graph():
     basis = spectrum_random_walk(WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
-    assert np.allclose(ipr_curve(basis).values, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(ipr_curve(basis), [0.5, 0.5], atol=1e-12)
 
 
 def test_mass_concentration_indicator():
@@ -132,7 +131,7 @@ def test_permutation_invariance(v, rnd):
     rnd.shuffle(perm)
     perm = np.array(perm)
     assert abs(ipr(v[perm]) - ipr(v)) <= 1e-12
-    assert np.abs(csl(v[perm]).scores - csl(v).scores[perm]).max() <= 1e-12
+    assert np.abs(csl(v[perm]) - csl(v)[perm]).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +139,7 @@ def test_permutation_invariance(v, rnd):
 def test_ipr_bounds_and_csl_peak(v):
     score = ipr(v)
     assert 1.0 / v.size - 1e-12 <= score <= 1.0 + 1e-12
-    assert abs(csl(v).scores.max() - np.abs(v).max() ** 2) <= 1e-12
+    assert abs(csl(v).max() - np.abs(v).max() ** 2) <= 1e-12
 
 
 def test_ipr_floor_only_for_flat_vectors():

@@ -90,6 +90,12 @@ def test_migration_nonpositive_population():
         MigrationInput(np.zeros((2, 2), dtype=int), np.array([10.0, 0.0]))
 
 
+@pytest.mark.parametrize("pop", [np.nan, np.inf])
+def test_migration_nonfinite_population(pop):
+    with pytest.raises(InputError, match="population of node 1 is not finite"):
+        MigrationInput(np.zeros((2, 2), dtype=int), np.array([10.0, pop]))
+
+
 def test_graph_rejects_duplicate_edge():
     with pytest.raises(DuplicateEdge):
         WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])

@@ -223,3 +223,23 @@ def test_spec_validation():
         with pytest.raises(InputError):
             TwoModuleBead(2, 2, 0.5, 0.1, label=label)
     assert ERBead(3, 0.5, label=2**63 - 1).label == 2**63 - 1
+
+
+def test_spec_rejects_negative_seed():
+    with pytest.raises(InputError, match="seed -1 is negative"):
+        TwoLevelSpec((ERBead(3, 0.5),), PathRandom(0.1), seed=-1)
+
+
+def test_bead_size_limit():
+    ERBead(10**9, 0.5)
+    TwoModuleBead(10**9 - 1, 1, 0.5, 0.1)
+    with pytest.raises(InputError, match="bead size must lie in 1..1000000000"):
+        ERBead(10**9 + 1, 0.5)
+    with pytest.raises(InputError, match="bead size must lie in 1..1000000000"):
+        TwoModuleBead(10**9, 1, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_identity_coupling_must_be_finite(eps):
+    with pytest.raises(InputError):
+        PathIdentity(eps)
