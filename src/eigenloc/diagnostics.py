@@ -8,7 +8,7 @@ import numpy as np
 
 from .clustering import Partition, TransitionReport, detect_transition, sweep_cut
 from .eigensolver import Eigenbasis, normalized_square_spectrum, spectrum_random_walk
-from .errors import InputError, MissingLabels, SizeMismatch
+from .errors import CurveTooShort, InputError, MissingLabels, SizeMismatch
 from .localization import Histogram, histogram, ipr_curve
 from .operators import WeightedGraph
 
@@ -67,7 +67,8 @@ def analyze(
     """Full pipeline over the top-k spectrum (default k = min(n, 100)).
 
     Curves shorter than window+1 entries report no transition rather than
-    failing: a two-eigenvector curve has nothing to detect against.
+    failing: a two-eigenvector curve has nothing to detect against. window
+    and tau are checked whatever the curve's length.
     """
     if k is None:
         k = min(g.n, DEFAULT_K)
@@ -77,9 +78,9 @@ def analyze(
             raise InputError(f"sweep rank {r} outside computed range 0..{k - 1}")
     basis = spectrum_random_walk(g, k)
     curve = ipr_curve(basis)
-    if curve.size >= window + 1:
+    try:
         transition = detect_transition(curve, window, tau)
-    else:
+    except CurveTooShort:
         transition = TransitionReport(None, None, None)
 
     table = group_mass_table(basis, g.labels) if g.labels is not None else None

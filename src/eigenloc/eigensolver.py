@@ -99,7 +99,7 @@ def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_components(S, ncomp: int, labels: np.ndarray, m: int, dense_limit: int):
-    """Top m eigenpairs of S, one _solve_block per connected component.
+    """Top m eigenpairs of S, descending, one _solve_block per connected component.
 
     S is permuted once so each component is a contiguous diagonal block.
     Components are numbered by their lowest node, and the merge keeps that
@@ -116,7 +116,8 @@ def _solve_components(S, ncomp: int, labels: np.ndarray, m: int, dense_limit: in
     comp = np.repeat(np.arange(ncomp), [lam.size for lam, _ in parts])
     col = np.concatenate([np.arange(lam.size) for lam, _ in parts])
     top = np.argsort(-evals, kind="stable")[:m]
-    Y = np.zeros((S.shape[0], top.size))
+    # column-major: with a row-major Y the column norms below differ in the last bit
+    Y = np.zeros((S.shape[0], top.size), order="F")
     for j, (c, i) in enumerate(zip(comp[top].tolist(), col[top].tolist())):
         Y[perm[bounds[c] : bounds[c + 1]], j] = parts[c][1][:, i]
     return evals[top], Y
@@ -158,14 +159,7 @@ def spectrum_random_walk(
         raise InputError(f"k must be in 1..{n}, got {k}")
     m = min(k + 1, n)
     S = normalized_adjacency(g)  # raises IsolatedNode
-    ncomp, labels = g.components
-    if ncomp == 1:
-        evals, Y = _solve_block(S.matrix, m, dense_limit)
-    else:
-        evals, Y = _solve_components(S.matrix, ncomp, labels, m, dense_limit)
-    order = np.argsort(-evals, kind="stable")[:m]
-    evals = evals[order]
-    Y = Y[:, order]
+    evals, Y = _solve_components(S.matrix, *g.components, m, dense_limit)
 
     resid = np.linalg.norm(S.matrix @ Y - Y * evals[None, :], axis=0)
     bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    AsymmetricFlow,
     DuplicateEdge,
     InputError,
     IoError,
@@ -323,7 +324,7 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
     labels = sublabels = None
     if label_path is not None:
         labels, sublabels = parse_labels(label_path, n)
-    keep = ~again
+    keep = order[~again[order]]  # each key's first entry, in sorted key order
     return WeightedGraph(n, lo[keep], hi[keep], w[keep], labels, sublabels)
 
 
@@ -332,16 +333,19 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
 def parse_migration(flows_path, populations_path) -> MigrationInput:
     """Flows as integer MatrixMarket; populations as CSV node_id,population.
 
-    The first self-flow, repeated flow or count beyond int64 in file order is
-    the error, as for parse_graph's edges; MigrationInput checks signs and
-    symmetry. Populations must be finite.
+    Errors come in this order: the first self-flow, repeated flow or count
+    beyond int64 in file order, as for parse_graph's edges; a bad population
+    row (populations must be finite); a negative count; the asymmetric flow
+    with the smallest (i, j), i < j; a non-positive population.
     """
     n, symmetry, field, line, i, j, w = _mm_entries(flows_path)
     if field != "integer":
         raise ParseError("flow matrix must use the integer field", line=1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order, again = _repeats(lo, hi)
     # symmetric storage keys a flow by its unordered pair, general by (row, col)
-    a, b = (np.minimum(i, j), np.maximum(i, j)) if symmetry == "symmetric" else (i, j)
-    defects = np.stack([i == j, _repeats(a, b)[1], np.abs(w) >= 2.0**63])
+    a, b, dup = (lo, hi, again) if symmetry == "symmetric" else (i, j, _repeats(i, j)[1])
+    defects = np.stack([i == j, dup, np.abs(w) >= 2.0**63])
     if defects.any():
         e = int(defects.any(axis=0).argmax())
         kind = int(defects[:, e].argmax())
@@ -349,10 +353,6 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
             raise DuplicateEdge(int(a[e]), int(b[e]))
         what = "self-flows are not allowed" if kind == 0 else f"flow count {w[e]:.17g} beyond int64"
         raise ParseError(what, line=int(line[e]))
-    M = np.zeros((n, n), dtype=np.int64)
-    M[i, j] = w.astype(np.int64)
-    if symmetry == "symmetric":
-        M[j, i] = M[i, j]
 
     pops = np.full(n, np.nan)  # nan until the node's row is read
     rows = _node_rows(
@@ -366,7 +366,20 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
     missing = np.isnan(pops)
     if missing.any():
         raise MissingPopulation(int(np.argmax(missing)))
-    return MigrationInput(M, pops)
+
+    if np.any(w < 0):
+        raise InputError("negative flow count")
+    first = ~again[order]  # in sorted key order; a key's mirror entry follows it
+    if symmetry == "general":
+        # a key is asymmetric with one nonzero entry or two that disagree
+        ws = w[order]
+        mate = np.append(np.where(first[1:], 0.0, ws[1:]), 0.0)
+        asym = first & (ws != mate)
+        if asym.any():
+            e = order[int(asym.argmax())]
+            raise AsymmetricFlow(int(lo[e]), int(hi[e]))
+    keep = order[first]
+    return MigrationInput(WeightedGraph(n, lo[keep], hi[keep], w[keep]), pops)
 
 
 # ------------------------------------------------------------ spec files

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
-    AsymmetricFlow,
     DuplicateEdge,
     InputError,
     IsolatedNode,
@@ -68,9 +67,12 @@ class WeightedGraph:
         hi = np.maximum(i, j)
         if lo.size and (lo.min() < 0 or hi.max() >= self.n):
             raise InputError("edge endpoint out of range")
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size > 1:
+        # pairs already strictly increasing (as parse_graph passes them) are
+        # sorted and distinct; anything else is sorted and scanned for repeats
+        step = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
+        if not step.all():
+            order = np.lexsort((hi, lo))
+            lo, hi, w = lo[order], hi[order], w[order]
             dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
             if np.any(dup):
                 e = int(np.argmax(dup))
@@ -146,31 +148,22 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class MigrationInput:
-    """Symmetric integer flow counts plus finite positive populations."""
+    """Flow counts (one integral weight per edge) plus finite positive populations."""
 
-    flows: np.ndarray
+    flows: WeightedGraph
     pops: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.flows, dtype=np.int64)
         P = np.asarray(self.pops, dtype=np.float64).ravel()
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise SizeMismatch("flow matrix must be square")
-        if M.shape[0] != P.size:
-            raise SizeMismatch("population vector length must match flow matrix")
-        if np.any(M < 0):
-            raise InputError("negative flow count")
-        bad = np.argwhere(M != M.T)
-        if bad.size:
-            i, j = (int(x) for x in bad[0])
-            raise AsymmetricFlow(i, j)
-        if np.any(np.diag(M) != 0):
-            raise InputError("self-flows are not allowed")
+        if self.flows.n != P.size:
+            raise SizeMismatch("population vector length must match the flow graph")
+        w = self.flows.weights
+        if (np.trunc(w) != w).any():
+            raise InputError(f"flow count {w[np.trunc(w) != w][0]:.17g} is not an integer")
         if not np.isfinite(P).all():
             raise InputError(f"population of node {int(np.argmax(~np.isfinite(P)))} is not finite")
         if np.any(P <= 0):
             raise NonpositivePopulation(int(np.argmax(P <= 0)))
-        object.__setattr__(self, "flows", M)
         object.__setattr__(self, "pops", P)
 
     @property
@@ -229,11 +222,7 @@ def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
 
 
 def migration_similarity(m: MigrationInput) -> WeightedGraph:
-    """Similarity graph with w_ij = flows_ij^2 / (pops_i * pops_j).
-
-    Zero flows produce no edge.
-    """
-    i, j = np.nonzero(np.triu(m.flows, 1))
-    f = m.flows[i, j].astype(np.float64)
-    w = f * f / (m.pops[i] * m.pops[j])
-    return WeightedGraph(m.n, i, j, w)
+    """Similarity graph with w_ij = flows_ij^2 / (pops_i * pops_j), one edge
+    per flow."""
+    f, rows, cols = m.flows.weights, m.flows.rows, m.flows.cols
+    return WeightedGraph(m.n, rows, cols, f * f / (m.pops[rows] * m.pops[cols]))

@@ -248,7 +248,10 @@ def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
         pops[node] = pop
     if not got.all():
         raise MissingPopulation(int(np.argmax(~got)))
-    return MigrationInput(M, pops)
+    # the dense matrix's checks, then its upper triangle as the flow graph
+    if np.any(M < 0):
+        raise InputError("negative flow count")
+    return MigrationInput(graph_from_dense(M), pops)
 
 
 def ref_json_text(obj) -> str:

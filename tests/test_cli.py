@@ -382,3 +382,11 @@ def test_compare_restriction_absent_group_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no node carries group 3" in err
     assert "at least 2 nodes" not in err
+
+
+def test_analyze_bad_tau_on_a_short_curve_exits_2(tmp_path, capsys):
+    graph = tmp_path / "grid.mtx"
+    write_graph(generate_grid(4, 4), graph)
+    argv = ["analyze", str(graph), "--k", "5", "--tau", "0.5", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert "factor must be > 1" in capsys.readouterr().err

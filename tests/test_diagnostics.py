@@ -7,6 +7,7 @@ from eigenloc import (
     TwoModuleBead,
     analyze,
     generate_bead_chain,
+    generate_grid,
     group_mass_table,
     spectrum_random_walk,
     tensor_block,
@@ -131,3 +132,13 @@ def test_analyze_default_rank_budget():
     assert report.curve.size == len(report.hists) == 100
     small = analyze(path_graph(7))
     assert small.curve.size == len(small.hists) == 7
+
+
+@pytest.mark.parametrize("k", [5, 16])
+def test_analyze_rejects_bad_tau_whatever_the_curve_length(k):
+    # k=5 gives a curve shorter than window+1, which used to skip the check
+    with pytest.raises(InputError, match="factor must be > 1"):
+        analyze(generate_grid(4, 4), k=k, tau=0.5)
+    with pytest.raises(InputError, match="window must be >= 1"):
+        analyze(generate_grid(4, 4), k=k, window=0)
+    assert analyze(generate_grid(4, 4), k=5).transition.rank is None

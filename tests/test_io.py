@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,40 @@ def test_migration_two_defects_report_the_sign_first(tmp_path):
     flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 10\n2 1 -3\n")
     with pytest.raises(InputError, match="negative flow count"):
         parse_migration(flows, pops)
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("3 3 2\n3 2 4\n2 1 5\n", (0, 1)),  # two unmatched flows: the smaller key
+        ("3 3 2\n1 2 0\n3 1 7\n", (0, 2)),  # an unmatched zero is no flow
+        ("3 3 4\n2 1 5\n1 2 5\n3 2 4\n2 3 6\n", (1, 2)),  # a mirror that disagrees
+    ],
+)
+def test_migration_asymmetric_flow_names_the_smallest_key(tmp_path, body, key):
+    pops = tmp_path / "pops.csv"
+    pops.write_text("0,1\n1,1\n2,1\n")
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer general\n" + body)
+    with pytest.raises(AsymmetricFlow) as exc:
+        parse_migration(flows, pops)
+    assert (exc.value.i, exc.value.j) == key
+
+
+def test_migration_memory_grows_with_nodes_and_flows_only(tmp_path):
+    # a dense 5,000 x 5,000 int64 flow matrix alone would take 200 MB
+    n = 5000
+    body = f"%%MatrixMarket matrix coordinate integer symmetric\n{n} {n} 1\n2 1 10\n"
+    flows = mm(tmp_path, body, name="flows.mtx")
+    pops = tmp_path / "pops.csv"
+    pops.write_text("".join(f"{v},{v + 1}\n" for v in range(n)))
+    tracemalloc.start()
+    try:
+        g = migration_similarity(parse_migration(flows, pops))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges == [(0, 1, 50.0)]
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -203,7 +203,8 @@ def test_bulk_parse_matches_reference_on_edge_cases(tmp_path, text):
 
 
 def _flows(m):
-    return "flows", m.flows.tolist(), m.pops.tolist()
+    f = m.flows
+    return "flows", f.n, f.rows.tolist(), f.cols.tolist(), f.weights.tolist(), m.pops.tolist()
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

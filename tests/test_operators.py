@@ -12,7 +12,6 @@ from eigenloc import (
     random_walk,
 )
 from eigenloc.errors import (
-    AsymmetricFlow,
     DuplicateEdge,
     InputError,
     IsolatedNode,
@@ -63,42 +62,67 @@ def test_laplacian_allows_isolated_nodes():
 
 
 def test_migration_similarity_formula():
-    m = MigrationInput(np.array([[0, 10], [10, 0]]), np.array([100.0, 50.0]))
+    m = MigrationInput(WeightedGraph.from_edges(2, [(1, 0, 10)]), np.array([100.0, 50.0]))
     g = migration_similarity(m)
     assert g.edges == [(0, 1, 100.0 / 5000.0)]
 
 
 def test_migration_similarity_zero_flows():
-    m = MigrationInput(np.zeros((3, 3), dtype=int), np.ones(3))
+    m = MigrationInput(WeightedGraph.from_edges(3, [(0, 1, 0)]), np.ones(3))
     assert migration_similarity(m).edge_count == 0
 
 
-def test_migration_asymmetric_flow():
-    M = np.array([[0, 5], [6, 0]])
-    with pytest.raises(AsymmetricFlow):
-        MigrationInput(M, np.ones(2))
+def test_migration_fractional_flow_rejected():
+    # a count is an integer; truncating 2.5 would change the kernel silently
+    with pytest.raises(InputError, match="flow count 2.5 is not an integer"):
+        MigrationInput(WeightedGraph.from_edges(2, [(0, 1, 2.5)]), np.ones(2))
 
 
 def test_migration_self_flow_rejected():
-    M = np.array([[1, 2], [2, 0]])
-    with pytest.raises(InputError):
-        MigrationInput(M, np.ones(2))
+    with pytest.raises(InputError, match="self-loop"):
+        MigrationInput(WeightedGraph.from_edges(2, [(0, 0, 1), (0, 1, 2)]), np.ones(2))
 
 
 def test_migration_nonpositive_population():
     with pytest.raises(NonpositivePopulation):
-        MigrationInput(np.zeros((2, 2), dtype=int), np.array([10.0, 0.0]))
+        MigrationInput(WeightedGraph.from_edges(2, []), np.array([10.0, 0.0]))
+
+
+def test_migration_population_count_must_match():
+    with pytest.raises(SizeMismatch):
+        MigrationInput(WeightedGraph.from_edges(3, [(0, 1, 4)]), np.ones(2))
 
 
 @pytest.mark.parametrize("pop", [np.nan, np.inf])
 def test_migration_nonfinite_population(pop):
     with pytest.raises(InputError, match="population of node 1 is not finite"):
-        MigrationInput(np.zeros((2, 2), dtype=int), np.array([10.0, pop]))
+        MigrationInput(WeightedGraph.from_edges(2, []), np.array([10.0, pop]))
 
 
 def test_graph_rejects_duplicate_edge():
     with pytest.raises(DuplicateEdge):
         WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])
+
+
+def test_graph_sorted_and_shuffled_input_agree():
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(rng, n_max=60, weighted=True)
+    e = rng.permutation(g.edge_count)
+    flip = rng.random(e.size) < 0.5  # some edges arrive as (j, i)
+    i = np.where(flip, g.cols[e], g.rows[e])
+    j = np.where(flip, g.rows[e], g.cols[e])
+    shuffled = WeightedGraph(g.n, i, j, g.weights[e])
+    again = WeightedGraph(g.n, g.rows, g.cols, g.weights)
+    for h in (shuffled, again):
+        for name in ("rows", "cols", "weights"):
+            assert np.array_equal(getattr(h, name), getattr(g, name))
+            assert getattr(h, name).dtype == getattr(g, name).dtype
+
+
+def test_graph_sorted_input_with_repeat_rejected():
+    with pytest.raises(DuplicateEdge) as exc:
+        WeightedGraph(4, [0, 1, 1, 2], [1, 2, 2, 3], [1.0, 1.0, 1.0, 1.0])
+    assert (exc.value.i, exc.value.j) == (1, 2)
 
 
 def test_graph_rejects_negative_weight():
@@ -195,7 +219,7 @@ def test_migration_similarity_output_is_valid_graph(data):
     pops = np.array(
         [data.draw(st.integers(1, 10**6)) for _ in range(n)], dtype=np.float64
     )
-    g = migration_similarity(MigrationInput(flows, pops))
+    g = migration_similarity(MigrationInput(graph_from_dense(flows), pops))
     # constructor re-checks the invariants; verify content agrees with the formula
     assert g.n == n
     for i, j, w in g.edges:
