@@ -137,9 +137,8 @@ def detect_transition(curve, window: int = 10, factor: float = 5.0) -> Transitio
     """
     if window < 1:
         raise InputError("window must be >= 1")
-    if factor <= 1:
-        # a jump factor at or below 1 would fire on every curve
-        raise InputError("factor must be > 1")
+    if not 1 < factor < np.inf:  # <= 1 fires on every curve; JSON has no nan or inf
+        raise InputError(f"factor must be > 1 and finite, got {factor}")
     values = np.asarray(curve, dtype=np.float64)
     if values.size < window + 1:
         raise CurveTooShort(

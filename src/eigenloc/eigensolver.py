@@ -93,6 +93,10 @@ def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
             return spla.eigsh(A, k=m, which="LA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailure(len(exc.eigenvalues)) from exc
+        except spla.ArpackError as exc:  # e.g. error 3, "No shifts could be applied"
+            fail = ConvergenceFailure(0)
+            fail.args = (str(exc),)  # ARPACK's own "ARPACK error <info>: <text>"
+            raise fail from exc
     if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
         return sla.eigh(A.toarray(), subset_by_index=[n - m, n - 1], driver="evr")
     return np.linalg.eigh(A.toarray())

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,10 +30,8 @@ from .errors import (
 from .localization import csl
 from .operators import MigrationInput, WeightedGraph
 from .twolevel import (
-    Bead,
     ERBead,
     GlobalRandom,
-    Interaction,
     PathIdentity,
     PathRandom,
     TwoLevelSpec,
@@ -384,24 +383,24 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
 
 # ------------------------------------------------------------ spec files
 
+# each spec kind's JSON name; its other keys are the class's dataclass fields
+_BEAD_KINDS = {"er": ERBead, "two_module": TwoModuleBead}
+_INTERACTION_KINDS = {"path_random": PathRandom, "path_identity": PathIdentity,
+                      "global_random": GlobalRandom}
+
+
+def _kind_json(obj, kinds: dict) -> dict:
+    """{"kind": name, then each field in declaration order but an unset label}."""
+    kind = {cls: name for name, cls in kinds.items()}[type(obj)]
+    return {"kind": kind, **{f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}}
+
+
 def spec_to_json(spec: TwoLevelSpec) -> dict:
-    beads = []
-    for b in spec.beads:
-        if isinstance(b, ERBead):
-            item: dict = {"kind": "er", "n": b.n, "p": b.p}
-        else:
-            item = {"kind": "two_module", "n1": b.n1, "n2": b.n2, "p1": b.p1, "p2": b.p2}
-        if b.label is not None:
-            item["label"] = b.label
-        beads.append(item)
-    inter = spec.interaction
-    if isinstance(inter, PathRandom):
-        idoc = {"kind": "path_random", "p": inter.p}
-    elif isinstance(inter, PathIdentity):
-        idoc = {"kind": "path_identity", "eps": inter.eps}
-    else:
-        idoc = {"kind": "global_random", "p": inter.p}
-    return {"beads": beads, "interaction": idoc, "seed": spec.seed}
+    return {
+        "beads": [_kind_json(b, _BEAD_KINDS) for b in spec.beads],
+        "interaction": _kind_json(spec.interaction, _INTERACTION_KINDS),
+        "seed": spec.seed,
+    }
 
 
 def _need(doc: dict, key: str, kinds, where: str):
@@ -420,6 +419,19 @@ def _float(doc: dict, key: str, where: str) -> float:
         raise ParseError(f"{where}: key {key!r} is out of range") from None
 
 
+def _kind_from_json(doc: dict, kinds: dict, kind: str, where: str, **given):
+    """The kinds[kind] instance doc describes: given fields as passed, the
+    rest read in declaration order; keys the kind does not declare are ignored."""
+    if kind not in kinds:
+        raise ParseError(f"{where}: unknown kind {kind!r}")
+    for f in fields(kinds[kind]):
+        if f.name not in given:  # f.type is a string: twolevel's annotations are postponed
+            given[f.name] = (
+                _float(doc, f.name, where) if f.type == "float" else int(_need(doc, f.name, int, where))
+            )
+    return kinds[kind](**given)
+
+
 def spec_from_json(doc) -> TwoLevelSpec:
     if isinstance(doc, (str, bytes)):
         try:
@@ -431,7 +443,7 @@ def spec_from_json(doc) -> TwoLevelSpec:
     beads_doc = _need(doc, "beads", list, "spec")
     if not beads_doc:
         raise ParseError("spec: beads must be a nonempty array")
-    beads: list[Bead] = []
+    beads = []
     for pos, b in enumerate(beads_doc):
         if not isinstance(b, dict):
             raise ParseError(f"bead {pos}: must be an object")
@@ -439,37 +451,10 @@ def spec_from_json(doc) -> TwoLevelSpec:
         label = b.get("label")
         if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
             raise ParseError(f"bead {pos}: label must be an integer")
-        if kind == "er":
-            beads.append(
-                ERBead(
-                    int(_need(b, "n", int, f"bead {pos}")),
-                    _float(b, "p", f"bead {pos}"),
-                    label,
-                )
-            )
-        elif kind == "two_module":
-            beads.append(
-                TwoModuleBead(
-                    int(_need(b, "n1", int, f"bead {pos}")),
-                    int(_need(b, "n2", int, f"bead {pos}")),
-                    _float(b, "p1", f"bead {pos}"),
-                    _float(b, "p2", f"bead {pos}"),
-                    label,
-                )
-            )
-        else:
-            raise ParseError(f"bead {pos}: unknown kind {kind!r}")
+        beads.append(_kind_from_json(b, _BEAD_KINDS, kind, f"bead {pos}", label=label))
     idoc = _need(doc, "interaction", dict, "spec")
     ikind = _need(idoc, "kind", str, "interaction")
-    inter: Interaction
-    if ikind == "path_random":
-        inter = PathRandom(_float(idoc, "p", "interaction"))
-    elif ikind == "path_identity":
-        inter = PathIdentity(_float(idoc, "eps", "interaction"))
-    elif ikind == "global_random":
-        inter = GlobalRandom(_float(idoc, "p", "interaction"))
-    else:
-        raise ParseError(f"interaction: unknown kind {ikind!r}")
+    inter = _kind_from_json(idoc, _INTERACTION_KINDS, ikind, "interaction")
     seed = _need(doc, "seed", int, "spec")
     return TwoLevelSpec(tuple(beads), inter, seed)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -193,16 +194,7 @@ def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
     beads), and are None when no bead has modules.
     """
     offsets = np.cumsum([0] + [b.size for b in spec.beads])
-    n = int(offsets[-1])
-    parts_i: list[np.ndarray] = []
-    parts_j: list[np.ndarray] = []
-    parts_w: list[np.ndarray] = []
-    for t, bead in enumerate(spec.beads):
-        nodes = np.arange(offsets[t], offsets[t + 1])
-        i, j = _bead_pairs(_stream(spec.seed, (0, t)), bead, nodes)
-        parts_i.append(i)
-        parts_j.append(j)
-        parts_w.append(np.ones(i.size))
+    nodes = [np.arange(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
     groups = [t if b.label is None else b.label for t, b in enumerate(spec.beads)]
     labels = np.repeat(np.array(groups, dtype=np.int64), np.diff(offsets))
     sublabels = np.concatenate([
@@ -210,37 +202,27 @@ def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
         for b in spec.beads
     ])
 
+    # (i, j, weight) edge blocks: one per bead, then one per coupled bead pair
+    blocks = [
+        (*_bead_pairs(_stream(spec.seed, (0, t)), bead, nodes[t]), 1.0)
+        for t, bead in enumerate(spec.beads)
+    ]
     inter = spec.interaction
-    if isinstance(inter, PathRandom):
-        for t in range(len(spec.beads) - 1):
-            a = np.arange(offsets[t], offsets[t + 1])
-            b = np.arange(offsets[t + 1], offsets[t + 2])
-            i, j = _bipartite_pairs(_stream(spec.seed, (1, t)), a, b, inter.p)
-            parts_i.append(i)
-            parts_j.append(j)
-            parts_w.append(np.ones(i.size))
-    elif isinstance(inter, PathIdentity):
-        for t in range(len(spec.beads) - 1):
-            a = np.arange(offsets[t], offsets[t + 1])
-            b = np.arange(offsets[t + 1], offsets[t + 2])
-            parts_i.append(a)
-            parts_j.append(b)
-            parts_w.append(np.full(a.size, inter.eps))
+    if isinstance(inter, PathIdentity):
+        blocks += [(a, b, inter.eps) for a, b in zip(nodes, nodes[1:])]
+    elif isinstance(inter, PathRandom):
+        blocks += [
+            (*_bipartite_pairs(_stream(spec.seed, (1, t)), a, b, inter.p), 1.0)
+            for t, (a, b) in enumerate(zip(nodes, nodes[1:]))
+        ]
     else:
         rng = _stream(spec.seed, (2, 0))
-        for t in range(len(spec.beads)):
-            for u in range(t + 1, len(spec.beads)):
-                a = np.arange(offsets[t], offsets[t + 1])
-                b = np.arange(offsets[u], offsets[u + 1])
-                i, j = _bipartite_pairs(rng, a, b, inter.p)
-                parts_i.append(i)
-                parts_j.append(j)
-                parts_w.append(np.ones(i.size))
-
-    i = np.concatenate(parts_i) if parts_i else np.zeros(0, dtype=np.int64)
-    j = np.concatenate(parts_j) if parts_j else np.zeros(0, dtype=np.int64)
-    w = np.concatenate(parts_w) if parts_w else np.zeros(0)
-    return WeightedGraph(n, i, j, w, labels, sublabels if (sublabels >= 0).any() else None)
+        blocks += [(*_bipartite_pairs(rng, a, b, inter.p), 1.0) for a, b in combinations(nodes, 2)]
+    i, j, w = zip(*blocks)
+    return WeightedGraph(
+        int(offsets[-1]), np.concatenate(i), np.concatenate(j), np.repeat(w, [x.size for x in i]),
+        labels, sublabels if (sublabels >= 0).any() else None,
+    )
 
 
 def tensor_block(k: int, w: WeightedGraph) -> WeightedGraph:

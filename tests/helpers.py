@@ -6,7 +6,16 @@ from pathlib import Path
 
 import numpy as np
 
-from eigenloc import MigrationInput, WeightedGraph
+from eigenloc import (
+    ERBead,
+    GlobalRandom,
+    MigrationInput,
+    PathIdentity,
+    PathRandom,
+    TwoLevelSpec,
+    TwoModuleBead,
+    WeightedGraph,
+)
 from eigenloc.errors import (
     AsymmetricFlow,
     DuplicateEdge,
@@ -18,6 +27,7 @@ from eigenloc.errors import (
 )
 from eigenloc.io import parse_labels
 from eigenloc.localization import csl
+from eigenloc.twolevel import Bead, Interaction
 
 
 def graph_from_dense(A, labels=None, sublabels=None) -> WeightedGraph:
@@ -67,7 +77,8 @@ def two_triangles_bridge() -> WeightedGraph:
 # ------------------------------------------------------------------------
 # Reference implementations: eigenloc.io's per-line MatrixMarket scan, its
 # per-entry migration reader and its per-value writers as they were before
-# parsing and formatting went bulk.
+# parsing and formatting went bulk, and its spec codec as it was before the
+# kind tables, one branch per kind.
 # The differential tests in test_io_bulk.py hold the library to these.
 
 
@@ -379,3 +390,93 @@ def ref_sweep_cut(v, g: WeightedGraph):
     side = np.zeros(n, dtype=bool)
     side[order[: best_t + 1]] = True
     return side, float(best_phi)
+
+
+def ref_spec_to_json(spec: TwoLevelSpec) -> dict:
+    beads = []
+    for b in spec.beads:
+        if isinstance(b, ERBead):
+            item: dict = {"kind": "er", "n": b.n, "p": b.p}
+        else:
+            item = {"kind": "two_module", "n1": b.n1, "n2": b.n2, "p1": b.p1, "p2": b.p2}
+        if b.label is not None:
+            item["label"] = b.label
+        beads.append(item)
+    inter = spec.interaction
+    if isinstance(inter, PathRandom):
+        idoc = {"kind": "path_random", "p": inter.p}
+    elif isinstance(inter, PathIdentity):
+        idoc = {"kind": "path_identity", "eps": inter.eps}
+    else:
+        idoc = {"kind": "global_random", "p": inter.p}
+    return {"beads": beads, "interaction": idoc, "seed": spec.seed}
+
+
+def ref_need(doc: dict, key: str, kinds, where: str):
+    if key not in doc:
+        raise ParseError(f"{where}: missing key {key!r}")
+    val = doc[key]
+    if not isinstance(val, kinds) or isinstance(val, bool):
+        raise ParseError(f"{where}: key {key!r} has the wrong type")
+    return val
+
+
+def ref_float(doc: dict, key: str, where: str) -> float:
+    try:
+        return float(ref_need(doc, key, (int, float), where))
+    except OverflowError:  # an integer literal beyond any float
+        raise ParseError(f"{where}: key {key!r} is out of range") from None
+
+
+def ref_spec_from_json(doc) -> TwoLevelSpec:
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("spec document must be a JSON object")
+    beads_doc = ref_need(doc, "beads", list, "spec")
+    if not beads_doc:
+        raise ParseError("spec: beads must be a nonempty array")
+    beads: list[Bead] = []
+    for pos, b in enumerate(beads_doc):
+        if not isinstance(b, dict):
+            raise ParseError(f"bead {pos}: must be an object")
+        kind = ref_need(b, "kind", str, f"bead {pos}")
+        label = b.get("label")
+        if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+            raise ParseError(f"bead {pos}: label must be an integer")
+        if kind == "er":
+            beads.append(
+                ERBead(
+                    int(ref_need(b, "n", int, f"bead {pos}")),
+                    ref_float(b, "p", f"bead {pos}"),
+                    label,
+                )
+            )
+        elif kind == "two_module":
+            beads.append(
+                TwoModuleBead(
+                    int(ref_need(b, "n1", int, f"bead {pos}")),
+                    int(ref_need(b, "n2", int, f"bead {pos}")),
+                    ref_float(b, "p1", f"bead {pos}"),
+                    ref_float(b, "p2", f"bead {pos}"),
+                    label,
+                )
+            )
+        else:
+            raise ParseError(f"bead {pos}: unknown kind {kind!r}")
+    idoc = ref_need(doc, "interaction", dict, "spec")
+    ikind = ref_need(idoc, "kind", str, "interaction")
+    inter: Interaction
+    if ikind == "path_random":
+        inter = PathRandom(ref_float(idoc, "p", "interaction"))
+    elif ikind == "path_identity":
+        inter = PathIdentity(ref_float(idoc, "eps", "interaction"))
+    elif ikind == "global_random":
+        inter = GlobalRandom(ref_float(idoc, "p", "interaction"))
+    else:
+        raise ParseError(f"interaction: unknown kind {ikind!r}")
+    seed = ref_need(doc, "seed", int, "spec")
+    return TwoLevelSpec(tuple(beads), inter, seed)

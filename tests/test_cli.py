@@ -201,6 +201,20 @@ def test_partial_arpack_convergence_exits_3(tmp_path, capsys, monkeypatch):
     assert "eigenpair 2 failed" in capsys.readouterr().err
 
 
+def test_arpack_error_exits_3(tmp_path, capsys, monkeypatch):
+    # ARPACK's error 3 ("No shifts could be applied") is not a non-convergence
+    graph_path = tmp_path / "path.mtx"
+    write_graph(path_graph(5002), graph_path)
+
+    def failed(A, k, **kwargs):
+        raise spla.ArpackError(3)
+
+    monkeypatch.setattr(spla, "eigsh", failed)
+    rc = cli.main(["analyze", str(graph_path), "--out", str(tmp_path / "report")])
+    assert rc == 3
+    assert f"numerical failure: {spla.ArpackError(3)}" in capsys.readouterr().err
+
+
 LATIN1 = b"% caf\xe9\n"  # a byte that is not UTF-8
 
 
@@ -390,3 +404,14 @@ def test_analyze_bad_tau_on_a_short_curve_exits_2(tmp_path, capsys):
     argv = ["analyze", str(graph), "--k", "5", "--tau", "0.5", "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 2
     assert "factor must be > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, tau", [("transition", "nan"), ("analyze", "inf")])
+def test_nonfinite_tau_exits_2(tmp_path, capsys, command, tau):
+    # nan and inf have no JSON spelling, so transition.json would not parse
+    graph = tmp_path / "grid.mtx"
+    write_graph(generate_grid(6, 6), graph)
+    argv = [command, str(graph), "--k", "30", "--tau", tau, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "factor must be > 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

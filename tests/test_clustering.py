@@ -247,8 +247,9 @@ def test_detect_transition_parameter_validation():
     curve = fake_curve([0.1] * 30)
     with pytest.raises(InputError):
         detect_transition(curve, window=0)
-    with pytest.raises(InputError):
-        detect_transition(curve, factor=0.5)
+    for factor in (0.5, 1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="factor must be > 1"):
+            detect_transition(curve, factor=factor)
 
 
 def test_detect_transition_on_real_curve_of_homogeneous_graph():

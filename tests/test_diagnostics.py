@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,9 @@ def test_analyze_default_rank_budget():
 @pytest.mark.parametrize("k", [5, 16])
 def test_analyze_rejects_bad_tau_whatever_the_curve_length(k):
     # k=5 gives a curve shorter than window+1, which used to skip the check
-    with pytest.raises(InputError, match="factor must be > 1"):
-        analyze(generate_grid(4, 4), k=k, tau=0.5)
+    for tau in (0.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="factor must be > 1"):
+            analyze(generate_grid(4, 4), k=k, tau=tau)
     with pytest.raises(InputError, match="window must be >= 1"):
         analyze(generate_grid(4, 4), k=k, window=0)
     assert analyze(generate_grid(4, 4), k=5).transition.rank is None

@@ -1,6 +1,9 @@
-"""Differential tests: bulk MatrixMarket parsing and one-template writers
-against the per-line and per-value reference implementations in helpers."""
+"""Differential tests: bulk MatrixMarket parsing, one-template writers and
+the table-driven spec codec against the per-line, per-value and per-kind
+reference implementations in helpers."""
 import functools
+import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +13,9 @@ from hypothesis import strategies as st
 
 import eigenloc.diagnostics as diagnostics
 from eigenloc import (
+    ERBead,
+    GlobalRandom,
+    PathIdentity,
     TwoLevelSpec,
     TwoModuleBead,
     PathRandom,
@@ -18,6 +24,8 @@ from eigenloc import (
     generate_bead_chain,
     parse_graph,
     parse_migration,
+    spec_from_json,
+    spec_to_json,
     spectrum_random_walk,
     write_graph,
     write_labels,
@@ -32,6 +40,8 @@ from helpers import (
     ref_mm_entries,
     ref_parse_graph,
     ref_parse_migration,
+    ref_spec_from_json,
+    ref_spec_to_json,
     ref_write_graph,
     ref_write_labels,
 )
@@ -333,3 +343,163 @@ def test_cli_ipr_and_csl_match_analyze_report(tmp_path):
     assert main(["analyze", str(graph), "--out", str(tmp_path / "rep_default")]) == 0
     assert main(["csl", str(graph), "--rank", "5", "--out", str(tmp_path / "c.csv")]) == 0
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "rep_default" / "eigvec_5.csv").read_bytes()
+
+
+# --------------------------------------------------------------- spec codec
+
+BEAD_KINDS = ["er", "two_module"]
+INTERACTION_KINDS = ["path_random", "path_identity", "global_random"]
+# a value that fits each key some kind declares
+FITTING = {
+    "n": st.integers(1, 12), "n1": st.integers(1, 6), "n2": st.integers(1, 6),
+    "p": st.floats(0, 1), "p1": st.floats(0, 1), "p2": st.floats(0, 1),
+    "eps": st.floats(1e-3, 10), "label": st.one_of(st.none(), st.integers(0, 5)),
+}
+# bools, strings and floats where ints belong, 400-digit integer literals,
+# out-of-range numbers and containers
+ODD = st.one_of(
+    st.booleans(), st.text(max_size=2), st.none(), st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-0.5, 1.5),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**63 - 1, 1.0, 0.0, -0.0]),
+    st.lists(st.integers(0, 1), max_size=1),
+)
+
+
+def _how(draw) -> str:
+    """Whether a key gets a fitting value (most of the time), an odd one or none."""
+    return draw(st.sampled_from(["fit"] * 10 + ["odd", "absent"]))
+
+
+@st.composite
+def kind_docs(draw, kinds):
+    """An object of some kind: each key a kind may declare holds a fitting
+    value, an odd one or is absent, and an undeclared key now and then."""
+    doc = {}
+    for key in draw(st.permutations(["kind", *FITTING, "extra"])):
+        how = _how(draw)
+        if how == "absent" or (key == "extra" and how == "fit"):
+            continue
+        if key == "kind":
+            other = st.sampled_from(BEAD_KINDS + INTERACTION_KINDS + ["spiral"])
+            doc[key] = draw(st.sampled_from(kinds) if how == "fit" else st.one_of(other, ODD))
+        else:
+            doc[key] = draw(FITTING[key] if how == "fit" else ODD)
+    return doc
+
+
+@st.composite
+def spec_docs(draw):
+    """A spec document as a dict, its JSON text or bytes, or something else."""
+    size = draw(st.sampled_from([1, 2, 3, 1, 2, 0]))
+    parts = {
+        "beads": st.tuples(*[st.one_of(kind_docs(BEAD_KINDS), ODD) if _how(draw) == "odd"
+                             else kind_docs(BEAD_KINDS) for _ in range(size)]).map(list),
+        "interaction": kind_docs(INTERACTION_KINDS),
+        "seed": st.one_of(st.integers(0, 2**70), st.just(10**400)),
+        "extra": ODD,
+    }
+    doc = {}
+    for key in draw(st.permutations(list(parts))):
+        how = _how(draw)
+        if how != "absent" and not (key == "extra" and how == "fit"):
+            doc[key] = draw(parts[key] if how == "fit" else ODD)
+    form = draw(st.sampled_from(["dict", "dict", "dict", "text", "bytes", "odd"]))
+    if form == "odd":
+        return draw(ODD)
+    text = json.dumps(doc)
+    return doc if form == "dict" else text if form == "text" else text.encode()
+
+
+def _spec_outcome(parse, dump, doc):
+    """What a codec's parse returns or raises, the warnings it gives, and
+    what its dump writes for the spec it returns."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            spec = parse(doc)
+            # repr tells 1 from 1.0, -0.0 from 0.0, and a dict's key order
+            out = ("spec", repr(spec), repr(dump(spec)))
+        except Exception as exc:  # every exception type is part of the contract
+            out = ("raise", type(exc), str(exc))
+    return out, [str(w.message) for w in seen]
+
+
+@settings(max_examples=600, deadline=None)
+@given(doc=spec_docs())
+def test_spec_codec_matches_reference(doc):
+    got = _spec_outcome(spec_from_json, spec_to_json, doc)
+    assert got == _spec_outcome(ref_spec_from_json, ref_spec_to_json, doc)
+
+
+ER = {"kind": "er", "n": 3, "p": 0.5}
+RANDOM = {"kind": "path_random", "p": 0.1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # a bead's checks: kind, label, unknown kind, then its fields in order
+        ({"label": "x", "n": 3}, "bead 0: missing key 'kind'"),
+        ({"kind": "spiral", "label": 1.5}, "bead 0: label must be an integer"),
+        ({"kind": "spiral", "label": True}, "bead 0: label must be an integer"),
+        ({"kind": "spiral", "n": "x"}, "bead 0: unknown kind 'spiral'"),
+        ({"kind": "er", "p": "x"}, "bead 0: missing key 'n'"),
+        ({"kind": "er", "n": 3.0, "p": "x"}, "bead 0: key 'n' has the wrong type"),
+        ({"kind": "er", "n": 0, "p": "x"}, "bead 0: key 'p' has the wrong type"),
+        ({"kind": "two_module", "n2": 2, "p1": 0.5, "p2": 0.5}, "bead 0: missing key 'n1'"),
+        ({"kind": "two_module", "n1": 2, "n2": 2, "p1": 10**400}, "bead 0: key 'p1' is out of range"),
+        ({"kind": "er", "n": 10**400, "p": 0.5}, "bead size must lie in 1..1000000000"),
+        ({"kind": "er", "n": 3, "p": 0.5, "label": 2**63}, "bead label 9223372036854775808 outside"),
+    ],
+)
+def test_spec_check_order_matches_reference(doc, message):
+    # the interaction is unknown and the seed absent, so the bead fails first
+    doc = {"beads": [doc], "interaction": {"kind": "warp"}}
+    got = _spec_outcome(spec_from_json, spec_to_json, doc)
+    assert got == _spec_outcome(ref_spec_from_json, ref_spec_to_json, doc)
+    assert got[0][2].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "interaction, seed, message",
+    [
+        ({"kind": "warp", "p": 2}, None, "interaction: unknown kind 'warp'"),
+        ({"kind": "path_identity", "p": 0.1}, None, "interaction: missing key 'eps'"),
+        ({"kind": "global_random", "p": 0.1, "label": "x"}, None, "spec: missing key 'seed'"),
+        ({"kind": "path_random", "p": 2, "label": 1.5}, -1, "coupling probability must lie in [0, 1]"),
+        (RANDOM, True, "spec: key 'seed' has the wrong type"),
+        (RANDOM, -1, "seed -1 is negative"),
+        ({**RANDOM, "label": None, "eps": "x"}, 10**400, None),
+    ],
+)
+def test_spec_interaction_and_seed_match_reference(interaction, seed, message):
+    doc = {"beads": [ER], "interaction": interaction, **({} if seed is None else {"seed": seed})}
+    got = _spec_outcome(spec_from_json, spec_to_json, doc)
+    assert got == _spec_outcome(ref_spec_from_json, ref_spec_to_json, doc)
+    assert got[0][0] == "spec" if message is None else got[0][2].startswith(message)
+
+
+PROBABILITY = st.one_of(st.floats(0, 1), st.sampled_from([0, 1]))
+LABELS = st.one_of(st.none(), st.sampled_from([0, 7, 2**63 - 1]))
+BEADS = st.one_of(
+    st.builds(ERBead, st.integers(1, 9), PROBABILITY, LABELS),
+    st.builds(TwoModuleBead, st.integers(1, 9), st.integers(1, 9), st.just(1.0), PROBABILITY, LABELS),
+)
+
+
+@st.composite
+def built_specs(draw):
+    chain = tuple(draw(st.lists(BEADS, min_size=1, max_size=3)))
+    couplings = [st.builds(PathRandom, PROBABILITY), st.builds(GlobalRandom, PROBABILITY)]
+    if len({b.size for b in chain}) == 1:
+        couplings.append(st.builds(PathIdentity, st.one_of(st.floats(1e-3, 10), st.just(2))))
+    return TwoLevelSpec(chain, draw(st.one_of(couplings)), draw(st.integers(0, 2**70)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_specs())
+def test_spec_to_json_matches_reference_on_built_specs(spec):
+    # fields keep the values they were built with, ints in float fields too
+    doc = spec_to_json(spec)
+    assert repr(doc) == repr(ref_spec_to_json(spec))
+    assert spec_from_json(json.dumps(doc)) == spec
