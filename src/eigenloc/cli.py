@@ -11,19 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import io as eio
-from .clustering import (
-    detect_transition,
-    partition_agreement,
-    restrict_and_compare,
-    sweep_cut,
-)
-from .diagnostics import DEFAULT_K, analyze
-from .eigensolver import spectrum_random_walk
 from .errors import InputError, IoError, MissingLabels, NumericalError
-from .localization import ipr_curve
-from .twolevel import generate_bead_chain
-from .operators import migration_similarity
 
 
 def _labels_path(out: Path) -> Path:
@@ -40,6 +28,9 @@ def _emit_text(text: str, out: str | None):
 def _basis(args, g):
     """Top-k eigenbasis for a command: --k, else min(n, DEFAULT_K) widened to
     cover --rank, which must then lie in the computed range."""
+    from .diagnostics import DEFAULT_K
+    from .eigensolver import spectrum_random_walk
+
     rank = getattr(args, "rank", None)
     k = args.k if args.k is not None else min(g.n, max(DEFAULT_K, (rank or 0) + 1))
     basis = spectrum_random_walk(g, k)
@@ -58,6 +49,9 @@ def _parse_ranks(text: str | None) -> tuple[int, ...]:
 
 
 def _cmd_generate(args) -> int:
+    from . import io as eio
+    from .twolevel import generate_bead_chain
+
     spec = eio.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -73,10 +67,15 @@ def _cmd_generate(args) -> int:
 
 
 def _load_graph(args):
+    from . import io as eio
+
     return eio.parse_graph(args.graph, getattr(args, "labels", None))
 
 
 def _cmd_analyze(args) -> int:
+    from . import io as eio
+    from .diagnostics import analyze
+
     g = _load_graph(args)
     report = analyze(
         g,
@@ -92,6 +91,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_ipr(args) -> int:
+    from . import io as eio
+    from .localization import ipr_curve
+
     g = _load_graph(args)
     basis = _basis(args, g)
     _emit_text(eio.ipr_csv(basis, ipr_curve(basis)), args.out)
@@ -99,6 +101,8 @@ def _cmd_ipr(args) -> int:
 
 
 def _cmd_csl(args) -> int:
+    from . import io as eio
+
     g = _load_graph(args)
     basis = _basis(args, g)
     _emit_text(eio.eigvec_csv(basis.vectors[:, args.rank]), args.out)
@@ -106,6 +110,9 @@ def _cmd_csl(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import io as eio
+    from .clustering import sweep_cut
+
     g = _load_graph(args)
     basis = _basis(args, g)
     part = sweep_cut(basis.vectors[:, args.rank], g)
@@ -114,6 +121,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_transition(args) -> int:
+    from . import io as eio
+    from .clustering import detect_transition
+    from .localization import ipr_curve
+
     g = _load_graph(args)
     basis = _basis(args, g)
     report = detect_transition(ipr_curve(basis), window=args.window, factor=args.tau)
@@ -122,6 +133,11 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_compare_restriction(args) -> int:
+    from . import io as eio
+    from .clustering import partition_agreement, restrict_and_compare, sweep_cut
+
+    if args.group < 0:
+        raise InputError(f"group must be >= 0, got {args.group}")
     g = _load_graph(args)
     if g.labels is None:
         raise MissingLabels("compare-restriction needs a label sidecar (--labels)")
@@ -140,6 +156,9 @@ def _cmd_compare_restriction(args) -> int:
 
 
 def _cmd_migration_kernel(args) -> int:
+    from . import io as eio
+    from .operators import migration_similarity
+
     m = eio.parse_migration(args.flows, args.populations)
     g = migration_similarity(m)
     eio.write_graph(g, args.out)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .errors import AllZeroSpectrum, ConvergenceFailure, InputError
 from .operators import DENSE_LIMIT, WeightedGraph, normalized_adjacency
@@ -88,6 +86,8 @@ def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
     n = A.shape[0]
     k = m - 1
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n)):
+        import scipy.sparse.linalg as spla
+
         v0 = np.random.default_rng(START_SEED).standard_normal(n)
         try:
             return spla.eigsh(A, k=m, which="LA", v0=v0)
@@ -98,6 +98,8 @@ def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
             fail.args = (str(exc),)  # ARPACK's own "ARPACK error <info>: <text>"
             raise fail from exc
     if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
+        import scipy.linalg as sla
+
         return sla.eigh(A.toarray(), subset_by_index=[n - m, n - 1], driver="evr")
     return np.linalg.eigh(A.toarray())
 

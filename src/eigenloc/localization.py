@@ -7,11 +7,14 @@ on unit-L2 input instead of silently rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptySubset, InputError, NotNormalized
-from .eigensolver import Eigenbasis
+
+if TYPE_CHECKING:
+    from .eigensolver import Eigenbasis
 
 NORM_TOL = 1e-6  # |sum(v^2) - 1| above this is rejected
 

@@ -6,12 +6,11 @@ for a dense view explicitly and only below a size guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicateEdge,
@@ -21,6 +20,9 @@ from .errors import (
     NonpositivePopulation,
     SizeMismatch,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # construction never densifies above this node count by default
 DENSE_LIMIT = 5000
@@ -113,6 +115,8 @@ class WeightedGraph:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency, CSR."""
+        import scipy.sparse as sp
+
         i = np.concatenate([self.rows, self.cols])
         j = np.concatenate([self.cols, self.rows])
         w = np.concatenate([self.weights, self.weights])
@@ -126,6 +130,8 @@ class WeightedGraph:
     def components(self) -> tuple[int, np.ndarray]:
         """(count, component label per node); scipy numbers the components
         in the order of their lowest node."""
+        from scipy.sparse.csgraph import connected_components
+
         return connected_components(self.adjacency, directed=False)
 
     def subgraph(self, nodes) -> "WeightedGraph":
@@ -194,6 +200,8 @@ class OperatorMatrix:
 
 def laplacian(g: WeightedGraph) -> OperatorMatrix:
     """L = D - W. Isolated nodes are fine here (zero rows)."""
+    import scipy.sparse as sp
+
     d = g.degrees
     L = sp.diags(d, format="csr") - g.adjacency
     return OperatorMatrix("laplacian", L.tocsr(), d)
@@ -208,6 +216,8 @@ def _require_positive_degrees(g: WeightedGraph) -> np.ndarray:
 
 def random_walk(g: WeightedGraph) -> OperatorMatrix:
     """P = D^-1 W, row-stochastic."""
+    import scipy.sparse as sp
+
     d = _require_positive_degrees(g)
     P = sp.diags(1.0 / d, format="csr") @ g.adjacency
     return OperatorMatrix("random_walk", P.tocsr(), d)
@@ -215,6 +225,8 @@ def random_walk(g: WeightedGraph) -> OperatorMatrix:
 
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     """S = D^(-1/2) W D^(-1/2); symmetric, similar to the random-walk operator."""
+    import scipy.sparse as sp
+
     d = _require_positive_degrees(g)
     half = sp.diags(1.0 / np.sqrt(d), format="csr")
     S = half @ g.adjacency @ half

@@ -10,6 +10,7 @@ from eigenloc import (
     TwoLevelSpec,
     TwoModuleBead,
     cli,
+    eigensolver,
     generate_bead_chain,
     generate_grid,
     parse_graph,
@@ -182,7 +183,7 @@ def test_numerical_failure_exits_3(chain_files, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceFailure(0)
 
-    monkeypatch.setattr(cli, "spectrum_random_walk", boom)
+    monkeypatch.setattr(eigensolver, "spectrum_random_walk", boom)
     assert cli.main(["ipr", str(graph_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -306,16 +307,16 @@ def test_size_beyond_memory_exits_2(tmp_path, capsys, with_labels):
 
 def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
     # the solver and sweep_cut share the graph's cached component labels
-    from eigenloc import operators
+    import scipy.sparse.csgraph as csgraph
 
     calls = []
-    real = operators.connected_components
+    real = csgraph.connected_components
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "connected_components", spy)
+    monkeypatch.setattr(csgraph, "connected_components", spy)
     graph_path, _ = chain_files
     argv = ["analyze", str(graph_path), "--out", str(tmp_path / "r"), "--ranks", "1,2"]
     assert cli.main(argv) == 0
@@ -396,6 +397,18 @@ def test_compare_restriction_absent_group_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no node carries group 3" in err
     assert "at least 2 nodes" not in err
+
+
+def test_compare_restriction_negative_group_exits_2(tmp_path, capsys):
+    # group -1 is the "unlabeled" marker, not a group: nodes 5..7 carry no label
+    graph, labels = tmp_path / "g.mtx", tmp_path / "g.labels.csv"
+    write_graph(path_graph(8), graph)
+    labels.write_text("node_id,group_id\n" + "".join(f"{i},0\n" for i in range(5)))
+    argv = ["compare-restriction", str(graph), "--labels", str(labels), "--rank", "1", "--group", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "group must be >= 0, got -1" in captured.err
+    assert captured.out == ""
 
 
 def test_analyze_bad_tau_on_a_short_curve_exits_2(tmp_path, capsys):

@@ -1,0 +1,93 @@
+"""Import footprint of the package and the CLI, and the lazy package surface.
+
+The footprint tests run each command in a fresh interpreter under
+`-X importtime`, which lists on stderr every module the process imported.
+"""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eigenloc
+
+SRC = str(Path(eigenloc.__file__).parents[1])
+
+
+def imported(args, cwd) -> set[str]:
+    """Names of the modules a fresh `python -X importtime <args>` imports."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = [line.split("|")[-1] for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {row.strip() for row in rows[1:]}  # rows[0] is the column header
+
+
+def loaded(modules: set[str], package: str) -> list[str]:
+    return sorted(m for m in modules if m == package or m.startswith(package + "."))
+
+
+def test_import_package_loads_no_numpy(tmp_path):
+    mods = imported(["-c", "import eigenloc"], tmp_path)
+    assert "eigenloc" in mods
+    assert loaded(mods, "numpy") == []
+
+
+def test_help_loads_neither_numpy_nor_scipy(tmp_path):
+    mods = imported(["-m", "eigenloc.cli", "--help"], tmp_path)
+    assert "eigenloc.errors" in mods
+    assert loaded(mods, "numpy") == [] and loaded(mods, "scipy") == []
+
+
+def test_generate_and_migration_kernel_load_no_scipy(tmp_path):
+    (tmp_path / "chain.json").write_text(
+        '{"beads": [{"kind": "two_module", "n1": 50, "n2": 50, "p1": 0.8, "p2": 0.2}],'
+        ' "interaction": {"kind": "path_random", "p": 0.05}, "seed": 0}'
+    )
+    mods = imported(["-m", "eigenloc.cli", "generate", "chain.json", "--out", "chain.mtx"], tmp_path)
+    assert "numpy" in mods and loaded(mods, "scipy") == []
+
+    (tmp_path / "flows.mtx").write_text(
+        "%%MatrixMarket matrix coordinate integer symmetric\n4 4 4\n2 1 10\n3 1 7\n4 2 3\n4 3 12\n"
+    )
+    (tmp_path / "pops.csv").write_text("node_id,population\n0,100\n1,50\n2,30.5\n3,1e3\n")
+    argv = ["-m", "eigenloc.cli", "migration-kernel", "flows.mtx", "pops.csv", "--out", "kernel.mtx"]
+    mods = imported(argv, tmp_path)
+    assert "numpy" in mods and loaded(mods, "scipy") == []
+
+
+def test_dense_route_loads_no_scipy_solver(tmp_path):
+    # the full dense solve is numpy's eigh; scipy.linalg (evr) and
+    # scipy.sparse.linalg (ARPACK) load only on their own routes
+    code = (
+        "import scipy.sparse as sp\n"
+        "from eigenloc.eigensolver import _solve_block\n"
+        "_solve_block(sp.identity(6, format='csr'), 6, 5000)\n"
+    )
+    mods = imported(["-c", code], tmp_path)
+    assert "scipy.sparse" in mods
+    assert loaded(mods, "scipy.linalg") == [] and loaded(mods, "scipy.sparse.linalg") == []
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    for name, module in eigenloc._HOME.items():
+        home = importlib.import_module(f"eigenloc.{module}")
+        assert getattr(eigenloc, name) is (home if name == module else getattr(home, name)), name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(eigenloc.__all__) <= set(dir(eigenloc))
+    namespace = {}
+    exec("from eigenloc import *", namespace)
+    assert all(namespace[name] is getattr(eigenloc, name) for name in eigenloc.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(eigenloc, "nope")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        eigenloc.nope
