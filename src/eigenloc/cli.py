@@ -173,10 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def graph_arg(p, with_labels=True):
+    def graph_arg(p):
         p.add_argument("graph", help="MatrixMarket graph file")
-        if with_labels:
-            p.add_argument("--labels", help="label sidecar CSV (node_id,group_id[,subgroup_id])")
+        p.add_argument("--labels", help="label sidecar CSV (node_id,group_id[,subgroup_id])")
 
     p = sub.add_parser("generate", help="generate a bead-chain graph from a JSON spec")
     p.add_argument("spec", help="chain spec JSON")

@@ -164,16 +164,16 @@ def spectrum_random_walk(
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
     m = min(k + 1, n)
-    S = normalized_adjacency(g)  # raises IsolatedNode
-    evals, Y = _solve_components(S.matrix, *g.components, m, dense_limit)
+    S = normalized_adjacency(g).matrix  # raises IsolatedNode
+    evals, Y = _solve_components(S, *g.components, m, dense_limit)
 
-    resid = np.linalg.norm(S.matrix @ Y - Y * evals[None, :], axis=0)
+    resid = np.linalg.norm(S @ Y - Y * evals[None, :], axis=0)
     bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ConvergenceFailure(j, float(resid[j]))
 
-    X = Y / np.sqrt(S.degrees)[:, None]
+    X = Y / np.sqrt(g.degrees)[:, None]
     X = X / np.linalg.norm(X, axis=0, keepdims=True)
     X = _sign_normalize(X)
     gaps = evals[:-1] - evals[1:]

@@ -470,7 +470,8 @@ def save_spec(spec: TwoLevelSpec, path) -> None:
 # ---------------------------------------------------------------- report
 
 def _json_text(obj) -> str:
-    """JSON with floats at 17 significant digits, insertion-ordered keys."""
+    """JSON with insertion-ordered keys and floats at 17 significant digits,
+    always with a decimal point or an exponent (5.0, not 5)."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -478,7 +479,8 @@ def _json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % obj
+        text = "%.17g" % obj
+        return text + ".0" if text.lstrip("-").isdigit() else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

@@ -17,6 +17,11 @@ if TYPE_CHECKING:
     from .eigensolver import Eigenbasis
 
 NORM_TOL = 1e-6  # |sum(v^2) - 1| above this is rejected
+# histogram takes a spread (max - min) up to CONSTANT_RTOL * max|v| as rounding
+# of a constant. A solved constant eigenvector spreads about n * eps relative
+# (9e-14 at n = 400, 1.5e-11 at n = 10,000 on bead chains), so 1e-9 covers it
+# to n near 1e6, while entries of 0 and 1e-13 still differ.
+CONSTANT_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +81,16 @@ def mass_concentration(v, subset) -> tuple[float, float]:
 def histogram(v, nbins: int = 50) -> Histogram:
     """Uniform-width bins over [min, max]; the last bin is right-inclusive.
 
-    A constant vector gets its range widened to 1e-12 so one bin holds all
-    entries.
+    A range below 1e-12 is widened to 1e-12, and a vector constant up to
+    rounding (spread <= CONSTANT_RTOL * max|v|) fills the first bin.
     """
     if nbins < 1:
         raise InputError("nbins must be >= 1")
     v = np.asarray(v, dtype=np.float64).ravel()
     lo, hi = float(v.min()), float(v.max())
     if hi - lo < 1e-12:
+        if hi - lo <= CONSTANT_RTOL * max(-lo, hi):  # max(-lo, hi) = max|v|
+            v = np.full_like(v, lo)
         hi = lo + 1e-12
     counts, edges = np.histogram(v, bins=nbins, range=(lo, hi))
     return Histogram(edges, counts)

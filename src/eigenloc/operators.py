@@ -1,8 +1,7 @@
 """Weighted graphs and the matrix operators built from them.
 
 A WeightedGraph stores an undirected edge set (i < j, positive weights) plus
-optional per-node group labels. Operators are kept sparse (CSR); callers ask
-for a dense view explicitly and only below a size guard.
+optional per-node group labels. Operators are kept sparse (CSR).
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .errors import (
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# construction never densifies above this node count by default
+# the solver's default dense limit: above this node count it runs ARPACK
 DENSE_LIMIT = 5000
 
 
@@ -179,32 +178,18 @@ class MigrationInput:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A matrix built from a graph: kind is one of laplacian / random_walk /
-    normalized_adjacency. Stored sparse; .dense() is guarded by a node limit."""
+    """A CSR operator built from a graph. Held only for the benchmark's
+    .matrix reads until the operator functions return the matrix itself."""
 
-    kind: str
     matrix: sp.csr_matrix
-    degrees: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self.n > limit:
-            raise ValueError(
-                f"refusing to densify a {self.n}-node operator (limit {limit})"
-            )
-        return self.matrix.toarray()
 
 
 def laplacian(g: WeightedGraph) -> OperatorMatrix:
     """L = D - W. Isolated nodes are fine here (zero rows)."""
     import scipy.sparse as sp
 
-    d = g.degrees
-    L = sp.diags(d, format="csr") - g.adjacency
-    return OperatorMatrix("laplacian", L.tocsr(), d)
+    L = sp.diags(g.degrees, format="csr") - g.adjacency
+    return OperatorMatrix(L.tocsr())
 
 
 def _require_positive_degrees(g: WeightedGraph) -> np.ndarray:
@@ -220,7 +205,7 @@ def random_walk(g: WeightedGraph) -> OperatorMatrix:
 
     d = _require_positive_degrees(g)
     P = sp.diags(1.0 / d, format="csr") @ g.adjacency
-    return OperatorMatrix("random_walk", P.tocsr(), d)
+    return OperatorMatrix(P.tocsr())
 
 
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
@@ -230,7 +215,7 @@ def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     d = _require_positive_degrees(g)
     half = sp.diags(1.0 / np.sqrt(d), format="csr")
     S = half @ g.adjacency @ half
-    return OperatorMatrix("normalized_adjacency", S.tocsr(), d)
+    return OperatorMatrix(S.tocsr())
 
 
 def migration_similarity(m: MigrationInput) -> WeightedGraph:

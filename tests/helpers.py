@@ -274,7 +274,8 @@ def ref_json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return ref_fmt(obj)
+        text = ref_fmt(obj)
+        return text + ".0" if float(obj).is_integer() and "e" not in text else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

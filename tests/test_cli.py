@@ -123,6 +123,13 @@ def test_transition_command(chain_files, capsys):
     assert "rank" in doc and "baseline" in doc and "factor" in doc
 
 
+def test_transition_default_tau_is_a_json_float(chain_files, capsys):
+    graph_path, _ = chain_files
+    assert cli.main(["transition", str(graph_path)]) == 0
+    tau = json.loads(capsys.readouterr().out)["tau"]
+    assert type(tau) is float and tau == 5.0
+
+
 def test_compare_restriction_command(chain_files, capsys):
     graph_path, label_path = chain_files
     rc = cli.main(

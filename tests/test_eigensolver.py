@@ -28,7 +28,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def brute_force_rw_spectrum(g):
     """Independent oracle: eigendecompose the nonsymmetric P directly."""
-    P = random_walk(g).dense()
+    P = random_walk(g).matrix.toarray()
     evals, vecs = np.linalg.eig(P)
     order = np.argsort(-evals.real)
     return evals.real[order], vecs.real[:, order]
@@ -129,7 +129,7 @@ def test_recomposition_of_symmetric_transform():
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, n_max=60)
     basis = spectrum_random_walk(g)
-    S = normalized_adjacency(g).dense()
+    S = normalized_adjacency(g).matrix.toarray()
     Y = np.sqrt(g.degrees)[:, None] * basis.vectors
     Y /= np.linalg.norm(Y, axis=0, keepdims=True)
     S_rec = (Y * basis.lambdas[None, :]) @ Y.T
@@ -374,7 +374,7 @@ def test_many_components_solved_one_at_a_time():
     basis = spectrum_random_walk(g, k=50)
     assert time.perf_counter() - t < 1.0
     # P of the 4-path has spectrum {1, 1/2, -1/2, -1}; each is 500-fold here
-    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).dense()))[::-1]
+    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).matrix.toarray()))[::-1]
     assert np.abs(basis.lambdas - ref[:50]).max() <= 1e-9
     assert basis.clusters.tolist() == [0] * 50
     assert basis.degenerate.all() and basis.tail_cut
@@ -394,7 +394,7 @@ def test_components_merge_with_mixed_routes():
         np.concatenate([chain.weights, p3.weights]),
     )
     basis = spectrum_random_walk(g, k=50)
-    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).dense()))[::-1]
+    ref = np.sort(np.linalg.eigvalsh(normalized_adjacency(g).matrix.toarray()))[::-1]
     assert np.abs(basis.lambdas - ref[:50]).max() <= 1e-9
     assert basis.clusters[:3].tolist() == [0, 0, 1]  # lambda = 1 twice
     # one stationary vector per component; their order is up to rounding

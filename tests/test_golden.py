@@ -48,7 +48,7 @@ GOLDEN = {
         "b8ce03b7b7b195428737a50d76793a3bdb41deac7b6aea4730a041437480ac4e",
     ),
     "global_random": (
-        "631ff6f1e2ff48956162bece96233a7e529b73bd900c718ff888a8be7c11629a",
+        "7100cccf096c490b25dc11229c383e8454eb4f808f545db6aff60da73024e267",
         "8aa70384cbf72953d64300a65bb5029e5f194a891ab0c12abd3c5e5ca7778f20",
         "d0dcd1cc7ba3594ad5d3cb2aae247ab7f5bf6b6763922f7a08564a8d078e158c",
     ),

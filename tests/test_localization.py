@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import eigenloc
 from eigenloc import (
     Eigenbasis,
     WeightedGraph,
@@ -170,6 +176,42 @@ def test_histogram_constant_vector():
         assert h.counts.sum() == 7
         assert np.count_nonzero(h.counts) == 1
         assert h.bin_edges[-1] - h.bin_edges[0] == pytest.approx(1e-12)
+
+
+def test_histogram_rounding_of_a_constant_fills_one_bin():
+    v = np.full(4000, 1 / np.sqrt(4000))
+    v[:1500] += 3e-14  # spread 3e-14: rounding, not structure
+    h = histogram(v)
+    assert h.counts.tolist() == [4000] + [0] * 49
+    assert np.array_equal(h.bin_edges, np.linspace(v.min(), v.min() + 1e-12, 51))
+
+
+def test_histogram_tiny_entries_that_differ_keep_their_bins():
+    h = histogram(np.array([0.0, 0.0, 1.5e-13]), nbins=10)
+    assert h.counts.tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+# rank 0 of this 4,000-node chain is the stationary vector, whose entries
+# differ by rounding that follows the BLAS thread count
+STATIONARY_HIST = """
+import numpy as np
+from eigenloc import generate_bead_chain, histogram, spec_from_json, spectrum_random_walk
+bead = {"kind": "two_module", "n1": 250, "n2": 250, "p1": 0.2, "p2": 0.02}
+doc = {"beads": [bead] * 8, "interaction": {"kind": "path_random", "p": 0.002}, "seed": 11}
+basis = spectrum_random_walk(generate_bead_chain(spec_from_json(doc)), 100)
+print(np.count_nonzero(histogram(basis.vectors[:, 0]).counts))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stationary_vector_fills_one_bin_at_any_thread_count(threads):
+    src = str(Path(eigenloc.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STATIONARY_HIST], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "1"
 
 
 def test_histogram_validation():

@@ -24,27 +24,27 @@ from helpers import graph_from_dense, path_graph, random_connected_graph
 
 def test_laplacian_single_edge():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    L = laplacian(g).dense()
+    L = laplacian(g).matrix.toarray()
     assert np.array_equal(L, [[1, -1], [-1, 1]])
 
 
 def test_laplacian_empty_graph():
     g = WeightedGraph.from_edges(3, [])
-    assert np.array_equal(laplacian(g).dense(), np.zeros((3, 3)))
+    assert np.array_equal(laplacian(g).matrix.toarray(), np.zeros((3, 3)))
 
 
 def test_laplacian_path():
-    L = laplacian(path_graph(3)).dense()
+    L = laplacian(path_graph(3)).matrix.toarray()
     assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_random_walk_single_edge():
-    P = random_walk(WeightedGraph.from_edges(2, [(0, 1, 1.0)])).dense()
+    P = random_walk(WeightedGraph.from_edges(2, [(0, 1, 1.0)])).matrix.toarray()
     assert np.array_equal(P, [[0, 1], [1, 0]])
 
 
 def test_random_walk_path():
-    P = random_walk(path_graph(3)).dense()
+    P = random_walk(path_graph(3)).matrix.toarray()
     assert np.array_equal(P, [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
 
 
@@ -57,7 +57,7 @@ def test_random_walk_isolated_node():
 
 def test_laplacian_allows_isolated_nodes():
     g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
-    L = laplacian(g).dense()
+    L = laplacian(g).matrix.toarray()
     assert np.array_equal(L[2], [0, 0, 0])
 
 
@@ -178,13 +178,6 @@ def test_subgraph_induces_edges_and_labels():
     assert sub.labels.tolist() == [1, 0, 1]
 
 
-def test_dense_guard():
-    g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    op = laplacian(g)
-    with pytest.raises(ValueError):
-        op.dense(limit=1)
-
-
 def test_row_sum_invariants_random_graphs():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -196,15 +189,15 @@ def test_row_sum_invariants_random_graphs():
         assert np.abs(np.asarray(P.matrix.sum(axis=1)) - 1.0).max() <= 1e-12
         # L = D (I - P) entrywise
         D = np.diag(g.degrees)
-        lhs = L.dense()
-        rhs = D @ (np.eye(g.n) - P.dense())
+        lhs = L.matrix.toarray()
+        rhs = D @ (np.eye(g.n) - P.matrix.toarray())
         assert np.abs(lhs - rhs).max() <= 1e-12 * maxdeg
 
 
 def test_normalized_adjacency_symmetric():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, n_max=40)
-    S = normalized_adjacency(g).dense()
+    S = normalized_adjacency(g).matrix.toarray()
     assert np.abs(S - S.T).max() <= 1e-14
 
 
