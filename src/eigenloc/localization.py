@@ -82,7 +82,8 @@ def histogram(v, nbins: int = 50) -> Histogram:
     """Uniform-width bins over [min, max]; the last bin is right-inclusive.
 
     A range below 1e-12 is widened to 1e-12, and a vector constant up to
-    rounding (spread <= CONSTANT_RTOL * max|v|) fills the first bin.
+    rounding (spread <= CONSTANT_RTOL * max|v|) fills the first bin. Bins
+    numpy cannot make finite-sized are an InputError.
     """
     if nbins < 1:
         raise InputError("nbins must be >= 1")
@@ -92,5 +93,8 @@ def histogram(v, nbins: int = 50) -> Histogram:
         if hi - lo <= CONSTANT_RTOL * max(-lo, hi):  # max(-lo, hi) = max|v|
             v = np.full_like(v, lo)
         hi = lo + 1e-12
-    counts, edges = np.histogram(v, bins=nbins, range=(lo, hi))
+    try:
+        counts, edges = np.histogram(v, bins=nbins, range=(lo, hi))
+    except ValueError as exc:  # e.g. bins narrower than the spacing of floats near lo
+        raise InputError(f"histogram over [{lo!r}, {hi!r}]: {exc}") from None
     return Histogram(edges, counts)

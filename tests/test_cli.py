@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -435,3 +439,29 @@ def test_nonfinite_tau_exits_2(tmp_path, capsys, command, tau):
     assert cli.main(argv) == 2
     assert "factor must be > 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_too_many_bins_exits_2(chain_files, capsys):
+    # the stationary vector's 1e-12 range cannot hold a million finite-sized bins
+    graph_path, _ = chain_files
+    argv = ["analyze", str(graph_path), "--k", "5", "--bins", "1000000", "--out", str(graph_path.parent / "r")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite-sized bins" in err
+
+
+def test_analyze_prints_each_path_once_to_a_pipe(chain_files):
+    # stdout to a pipe is block-buffered: a forked report writer that flushed
+    # it, or returned into the CLI, would print paths twice
+    graph_path, label_path = chain_files
+    out = graph_path.parent / "report"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["analyze", str(graph_path), "--labels", str(label_path), "--k", "12", "--ranks", "1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenloc.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    ranked = [f"{kind}_{rank}.csv" for rank in range(12) for kind in ("eigvec", "hist")]
+    names = ["spectrum.csv", "ipr.csv", *ranked, "groups.csv", "transition.json", "partitions.json"]
+    assert proc.stdout.splitlines() == [str(out / name) for name in names]

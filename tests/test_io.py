@@ -1,5 +1,7 @@
+import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from eigenloc import (
     TwoLevelSpec,
     TwoModuleBead,
     analyze,
+    cli,
     emit_report,
     generate_bead_chain,
     generate_two_module,
@@ -30,6 +33,7 @@ from eigenloc.errors import (
     AsymmetricFlow,
     DuplicateEdge,
     InputError,
+    IoError,
     MissingPopulation,
     NegativeWeight,
     ParseError,
@@ -446,3 +450,111 @@ def test_emit_report_reruns_byte_identical(tmp_path):
     assert files == sorted(p.name for p in b.iterdir())
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# emit_report forks report writers only when the CPU mask has two or more CPUs
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a CPU mask of at least two CPUs, so that report writers are forked",
+)
+
+
+def _bead_chain(coupling):
+    # a small_full chain: 4 beads of 50 + 50 nodes, bead labels
+    bead = TwoModuleBead(50, 50, 0.2, 0.02)
+    return generate_bead_chain(TwoLevelSpec((bead,) * 4, PathRandom(coupling), seed=11))
+
+
+@two_cpus
+# a connected chain, and four disconnected beads (no sweep cut: it needs a connected graph)
+@pytest.mark.parametrize("coupling, ranks", [(0.01, (1, 2)), (0.0, ())])
+def test_report_bytes_do_not_depend_on_the_number_of_writers(tmp_path, coupling, ranks):
+    g = _bead_chain(coupling)
+    report = analyze(g, k=g.n, sweep_ranks=ranks)
+    many = emit_report(report, tmp_path / "many")
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        one = emit_report(report, tmp_path / "one")
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert [p.name for p in many] == [p.name for p in one]
+    assert len(many) == 2 * g.n + 5
+    assert sorted(p.name for p in (tmp_path / "many").iterdir()) == sorted(p.name for p in many)
+    for p in many:
+        assert p.read_bytes() == (tmp_path / "one" / p.name).read_bytes(), p.name
+
+
+@pytest.mark.parametrize(
+    "blocked, named",
+    [
+        (("eigvec_1.csv",), "eigvec_1.csv"),  # a forked writer's rank when there are 2+ CPUs
+        (("eigvec_0.csv",), "eigvec_0.csv"),  # this process's rank
+        (("hist_2.csv", "eigvec_1.csv"), "eigvec_1.csv"),  # the lowest failed rank is named
+    ],
+)
+def test_failed_report_write_is_an_io_error_and_leaves_no_child(tmp_path, capsys, blocked, named):
+    g = generate_two_module(8, 8, 0.9, 0.2, seed=2)
+    graph = tmp_path / "g.mtx"
+    write_graph(g, graph)
+    report = analyze(g, k=6)
+    out = tmp_path / "lib"
+    for name in blocked:  # a directory where a report file should go
+        (out / name).mkdir(parents=True)
+    with pytest.raises(IoError, match=rf"Is a directory: '.*{named}'"):
+        emit_report(report, out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    out = tmp_path / "cli"
+    for name in blocked:
+        (out / name).mkdir(parents=True)
+    assert cli.main(["analyze", str(graph), "--k", "6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.search(rf"^error: cannot write report to .*: \[Errno \d+\] Is a directory: '.*{named}'$",
+                     captured.err, re.M)
+    assert captured.out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
+def test_fork_warning_of_a_threaded_process_is_not_an_error(tmp_path, monkeypatch):
+    # from Python 3.12 os.fork warns, in the parent, when the process has threads
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    report = analyze(generate_two_module(8, 8, 0.9, 0.2, seed=2), k=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        written = emit_report(report, tmp_path)
+    assert all(p.exists() for p in written)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
+def test_report_is_written_when_no_process_can_be_forked(tmp_path, monkeypatch):
+    report = analyze(generate_two_module(8, 8, 0.9, 0.2, seed=2), k=6, sweep_ranks=(1,))
+    forked = emit_report(report, tmp_path / "forked")
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    written = emit_report(report, tmp_path / "here")
+    assert len(os.listdir("/proc/self/fd")) == fds  # the unused pipe is closed
+    assert [p.name for p in written] == [p.name for p in forked]
+    for p in forked:
+        assert p.read_bytes() == (tmp_path / "here" / p.name).read_bytes(), p.name
