@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllZeroSpectrum, ConvergenceFailure, InputError
-from .operators import DENSE_LIMIT, WeightedGraph, normalized_adjacency
+from .operators import DENSE_LIMIT, WeightedGraph, _normalized_edge_values, _symmetric_csr
 
 # bound on ||S y - lambda y|| for a unit y; ||S||_2 = 1, so this is a
 # backward error and needs no scaling with n
@@ -80,50 +80,76 @@ def _sign_normalize(X: np.ndarray) -> np.ndarray:
     return X * signs
 
 
-def _solve_block(A, m: int, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top m eigenpairs of the symmetric n x n block A, in any order, by the
-    route the block's size picks; m is k + 1, or n when k >= n - 1."""
-    n = A.shape[0]
+def _solve_block(n: int, rows, cols, upper, lower, m: int, dense_limit: int):
+    """Top m eigenpairs of the symmetric n x n block holding upper at (rows,
+    cols) and lower at (cols, rows), in any order, by the route the block's
+    size picks, with each pair's residual ||A y - lambda y||; m is k + 1, or
+    n when k >= n - 1."""
     k = m - 1
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n)):
         import scipy.sparse.linalg as spla
 
+        A = _symmetric_csr(n, rows, cols, upper, lower)
         v0 = np.random.default_rng(START_SEED).standard_normal(n)
         try:
-            return spla.eigsh(A, k=m, which="LA", v0=v0)
+            lam, Y = spla.eigsh(A, k=m, which="LA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailure(len(exc.eigenvalues)) from exc
         except spla.ArpackError as exc:  # e.g. error 3, "No shifts could be applied"
             fail = ConvergenceFailure(0)
             fail.args = (str(exc),)  # ARPACK's own "ARPACK error <info>: <text>"
             raise fail from exc
-    if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
-        import scipy.linalg as sla
+    else:
+        A = np.zeros((n, n))
+        A[rows, cols] = upper
+        A[cols, rows] = lower
+        if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
+            import scipy.linalg as sla
 
-        return sla.eigh(A.toarray(), subset_by_index=[n - m, n - 1], driver="evr")
-    return np.linalg.eigh(A.toarray())
+            lam, Y = sla.eigh(A, subset_by_index=[n - m, n - 1], driver="evr")
+        else:
+            lam, Y = np.linalg.eigh(A)
+            if m < n:  # only these can enter the merge's top m; keep their order
+                keep = np.sort(np.argsort(-lam, kind="stable")[:m])
+                lam, Y = lam[keep], Y[:, keep]
+    return lam, Y, np.linalg.norm(A @ Y - Y * lam, axis=0)
 
 
-def _solve_components(S, ncomp: int, labels: np.ndarray, m: int, dense_limit: int):
+def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
     """Top m eigenpairs of S, descending, one _solve_block per connected component.
 
-    S is permuted once so each component is a contiguous diagonal block.
-    Components are numbered by their lowest node, and the merge keeps that
-    order among equal eigenvalues (the final sort is stable).
+    Each component's edges are cut out of the graph's edge arrays and
+    renumbered 0..size-1 in node order. Components are numbered by their
+    lowest node, and the merge keeps that order among equal eigenvalues (the
+    final sort is stable). Every merged pair must pass its residual check;
+    a failure names its merged rank.
     """
+    upper, lower = _normalized_edge_values(g)  # raises IsolatedNode
+    ncomp, labels = g.components
     perm = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=ncomp))])
-    B = S[perm][:, perm]
+    local = np.empty(g.n, dtype=np.int64)
+    local[perm] = np.arange(g.n) - bounds[labels[perm]]
+    order = np.argsort(labels[g.rows], kind="stable")
+    ebounds = np.searchsorted(labels[g.rows][order], np.arange(ncomp + 1))
+    rows, cols = local[g.rows][order], local[g.cols][order]
+    upper, lower = upper[order], lower[order]
     parts = [
-        _solve_block(B[a:b, a:b], min(m, b - a), dense_limit)
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        _solve_block(b - a, rows[e:f], cols[e:f], upper[e:f], lower[e:f], min(m, b - a), dense_limit)
+        for a, b, e, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                              ebounds[:-1].tolist(), ebounds[1:].tolist())
     ]
-    evals = np.concatenate([lam for lam, _ in parts])
-    comp = np.repeat(np.arange(ncomp), [lam.size for lam, _ in parts])
-    col = np.concatenate([np.arange(lam.size) for lam, _ in parts])
+    evals = np.concatenate([lam for lam, _, _ in parts])
+    comp = np.repeat(np.arange(ncomp), [lam.size for lam, _, _ in parts])
+    col = np.concatenate([np.arange(lam.size) for lam, _, _ in parts])
     top = np.argsort(-evals, kind="stable")[:m]
+    resid = np.concatenate([r for _, _, r in parts])[top]
+    bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ConvergenceFailure(j, float(resid[j]))
     # column-major: with a row-major Y the column norms below differ in the last bit
-    Y = np.zeros((S.shape[0], top.size), order="F")
+    Y = np.zeros((g.n, top.size), order="F")
     for j, (c, i) in enumerate(zip(comp[top].tolist(), col[top].tolist())):
         Y[perm[bounds[c] : bounds[c + 1]], j] = parts[c][1][:, i]
     return evals[top], Y
@@ -164,15 +190,7 @@ def spectrum_random_walk(
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
     m = min(k + 1, n)
-    S = normalized_adjacency(g).matrix  # raises IsolatedNode
-    evals, Y = _solve_components(S, *g.components, m, dense_limit)
-
-    resid = np.linalg.norm(S @ Y - Y * evals[None, :], axis=0)
-    bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise ConvergenceFailure(j, float(resid[j]))
-
+    evals, Y = _solve_components(g, m, dense_limit)
     X = Y / np.sqrt(g.degrees)[:, None]
     X = X / np.linalg.norm(X, axis=0, keepdims=True)
     X = _sign_normalize(X)

@@ -1,7 +1,8 @@
 """Weighted graphs and the matrix operators built from them.
 
 A WeightedGraph stores an undirected edge set (i < j, positive weights) plus
-optional per-node group labels. Operators are kept sparse (CSR).
+optional per-node group labels. Degrees and component labels come straight
+from the edge arrays with numpy; the operators are scipy CSR matrices.
 """
 from __future__ import annotations
 
@@ -45,8 +46,11 @@ class WeightedGraph:
     sublabels: np.ndarray | None = None
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise InputError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError("graph needs at least one node")
+        object.__setattr__(self, "n", int(self.n))
         i = np.asarray(self.rows, dtype=np.int64).ravel()
         j = np.asarray(self.cols, dtype=np.int64).ravel()
         w = np.asarray(self.weights, dtype=np.float64).ravel()
@@ -114,24 +118,29 @@ class WeightedGraph:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency, CSR."""
-        import scipy.sparse as sp
-
-        i = np.concatenate([self.rows, self.cols])
-        j = np.concatenate([self.cols, self.rows])
-        w = np.concatenate([self.weights, self.weights])
-        return sp.coo_matrix((w, (i, j)), shape=(self.n, self.n)).tocsr()
+        return _symmetric_csr(self.n, self.rows, self.cols, self.weights, self.weights)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        """Weighted degree per node, bitwise equal to adjacency.sum(axis=1).
+
+        That row sum is numpy's add.reduceat over each CSR row, lower
+        neighbours first, each side ascending, pairwise beyond 8 terms;
+        this makes the same call on the same sequence of weights.
+        """
+        order = np.argsort(np.concatenate([self.cols, self.rows]), kind="stable")
+        w = np.concatenate([self.weights, self.weights])[order]
+        count = np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.n)
+        d = np.zeros(self.n)
+        has = count > 0
+        d[has] = np.add.reduceat(w, (np.cumsum(count) - count)[has])
+        return d
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:
-        """(count, component label per node); scipy numbers the components
-        in the order of their lowest node."""
-        from scipy.sparse.csgraph import connected_components
-
-        return connected_components(self.adjacency, directed=False)
+        """(count, component label per node), components numbered in the
+        order of their lowest node."""
+        return _label_components(self.n, self.rows, self.cols)
 
     def subgraph(self, nodes) -> "WeightedGraph":
         """Induced subgraph on the given nodes, relabeled 0..len-1 in sorted order."""
@@ -176,6 +185,41 @@ class MigrationInput:
         return int(self.pops.size)
 
 
+def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components by min-label hooking with pointer jumping.
+
+    Each round hooks the larger root of every edge still joining two trees
+    under the smaller one, then flattens every tree onto its root, and drops
+    the edges now inside one tree. A root only ever takes a smaller label,
+    so each component ends rooted at its lowest node.
+    """
+    root = np.arange(n)
+    while rows.size:
+        ri, rj = root[rows], root[cols]
+        split = ri != rj
+        if not split.any():
+            break
+        rows, cols, ri, rj = rows[split], cols[split], ri[split], rj[split]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    lowest = root == np.arange(n)
+    return int(lowest.sum()), (np.cumsum(lowest) - 1)[root]
+
+
+def _symmetric_csr(n: int, rows, cols, upper, lower) -> sp.csr_matrix:
+    """n x n CSR holding upper[e] at (rows[e], cols[e]) and lower[e] at
+    (cols[e], rows[e]), column indices sorted within each row."""
+    import scipy.sparse as sp
+
+    i = np.concatenate([rows, cols])
+    j = np.concatenate([cols, rows])
+    return sp.coo_matrix((np.concatenate([upper, lower]), (i, j)), shape=(n, n)).tocsr()
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """A CSR operator built from a graph. Held only for the benchmark's
@@ -208,14 +252,23 @@ def random_walk(g: WeightedGraph) -> OperatorMatrix:
     return OperatorMatrix(P.tocsr())
 
 
+def _normalized_edge_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of S = D^(-1/2) W D^(-1/2) per edge e: (upper, lower), S at
+    (rows[e], cols[e]) and at (cols[e], rows[e]).
+
+    With h = 1/sqrt(d) they are (h_i w) h_j and (h_j w) h_i, the products
+    diag(h) @ W @ diag(h) forms in that order, so the two triangles can
+    differ in the last bit just as in that product.
+    """
+    h = 1.0 / np.sqrt(_require_positive_degrees(g))
+    hi, hj = h[g.rows], h[g.cols]
+    return (hi * g.weights) * hj, (hj * g.weights) * hi
+
+
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     """S = D^(-1/2) W D^(-1/2); symmetric, similar to the random-walk operator."""
-    import scipy.sparse as sp
-
-    d = _require_positive_degrees(g)
-    half = sp.diags(1.0 / np.sqrt(d), format="csr")
-    S = half @ g.adjacency @ half
-    return OperatorMatrix(S.tocsr())
+    upper, lower = _normalized_edge_values(g)
+    return OperatorMatrix(_symmetric_csr(g.n, g.rows, g.cols, upper, lower))
 
 
 def migration_similarity(m: MigrationInput) -> WeightedGraph:

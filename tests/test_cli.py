@@ -318,16 +318,16 @@ def test_size_beyond_memory_exits_2(tmp_path, capsys, with_labels):
 
 def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
     # the solver and sweep_cut share the graph's cached component labels
-    import scipy.sparse.csgraph as csgraph
+    from eigenloc import operators
 
     calls = []
-    real = csgraph.connected_components
+    real = operators._label_components
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(csgraph, "connected_components", spy)
+    monkeypatch.setattr(operators, "_label_components", spy)
     graph_path, _ = chain_files
     argv = ["analyze", str(graph_path), "--out", str(tmp_path / "r"), "--ranks", "1,2"]
     assert cli.main(argv) == 0

@@ -313,6 +313,25 @@ def test_residual_bound_is_a_fixed_backward_error_on_s(monkeypatch):
     assert exc.value.rank == 2
 
 
+def test_failure_in_second_component_reports_merged_rank(monkeypatch):
+    # path 0..5 has lambda = cos(pi j / 5); triangle 6, 7, 8 has 1, -1/2, -1/2.
+    # Merged: 1, 1, .809, .309, -.309, then the triangle's first -1/2 at rank 5.
+    g = WeightedGraph(9, [0, 1, 2, 3, 4, 6, 6, 7], [1, 2, 3, 4, 5, 7, 8, 8], np.ones(8))
+    real = np.linalg.eigh
+
+    def off(A):
+        evals, Y = real(A)
+        if A.shape[0] == 3:
+            evals[0] += 1e-6  # ascending: the lower copy of -1/2
+        return evals, Y
+
+    monkeypatch.setattr(np.linalg, "eigh", off)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(g)
+    assert exc.value.rank == 5
+    assert exc.value.residual == pytest.approx(1e-6, rel=1e-3)
+
+
 # ------------------------------------------------------------ ARPACK route
 # Below the dense limit, n >= 1000 with 20k <= n takes ARPACK; dense_limit=10
 # forces it on any graph whose components exceed 10 nodes.

@@ -4,6 +4,7 @@ The footprint tests run each command in a fresh interpreter under
 `-X importtime`, which lists on stderr every module the process imported.
 """
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import eigenloc
+from eigenloc import cli
 
 SRC = str(Path(eigenloc.__file__).parents[1])
 
@@ -61,17 +63,36 @@ def test_generate_and_migration_kernel_load_no_scipy(tmp_path):
     assert "numpy" in mods and loaded(mods, "scipy") == []
 
 
+def write_chain(tmp_path, beads: int, size: int):
+    """chain.mtx and chain.labels.csv: `beads` two-module beads of 2 x `size` nodes."""
+    bead = {"kind": "two_module", "n1": size, "n2": size, "p1": 0.2, "p2": 0.02}
+    doc = {"beads": [bead] * beads, "interaction": {"kind": "path_random", "p": 0.01}, "seed": 3}
+    (tmp_path / "chain.json").write_text(json.dumps(doc))
+    out = tmp_path / "chain.mtx"
+    assert cli.main(["generate", str(tmp_path / "chain.json"), "--out", str(out)]) == 0
+
+
 def test_dense_route_loads_no_scipy_solver(tmp_path):
-    # the full dense solve is numpy's eigh; scipy.linalg (evr) and
-    # scipy.sparse.linalg (ARPACK) load only on their own routes
-    code = (
-        "import scipy.sparse as sp\n"
-        "from eigenloc.eigensolver import _solve_block\n"
-        "_solve_block(sp.identity(6, format='csr'), 6, 5000)\n"
-    )
-    mods = imported(["-c", code], tmp_path)
-    assert "scipy.sparse" in mods
-    assert loaded(mods, "scipy.linalg") == [] and loaded(mods, "scipy.sparse.linalg") == []
+    # a 400-node chain at k = n takes the full dense route, numpy's eigh on a
+    # block filled from the edge list; components and degrees are numpy too
+    write_chain(tmp_path, beads=4, size=50)
+    commands = [
+        ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "400", "--ranks", "1,2", "--out", "r"],
+        ["ipr", "chain.mtx", "--k", "400", "--out", "ipr.csv"],
+        ["sweep", "chain.mtx", "--rank", "1", "--k", "400", "--out", "sweep.json"],
+    ]
+    for argv in commands:
+        mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
+        assert "numpy" in mods and loaded(mods, "scipy") == [], argv[0]
+
+
+def test_evr_route_loads_scipy_linalg_but_no_sparse(tmp_path):
+    # 1,200 nodes with k = 100 (n/20 < k <= n/8) takes LAPACK evr
+    write_chain(tmp_path, beads=3, size=200)
+    argv = ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "100", "--ranks", "1,2", "--out", "r"]
+    mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
+    assert "scipy.linalg" in mods
+    assert loaded(mods, "scipy.sparse") == []
 
 
 def test_every_public_name_resolves_to_its_home_object():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +226,148 @@ def test_migration_similarity_output_is_valid_graph(data):
 def test_edge_arrays_must_align():
     with pytest.raises(SizeMismatch):
         WeightedGraph(2, np.array([0]), np.array([1, 1]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), True, "2", None])
+def test_graph_node_count_must_be_an_integer(n):
+    with pytest.raises(InputError, match="node count must be an integer"):
+        WeightedGraph(n, [0], [1], [1.0])
+
+
+def test_graph_node_count_stored_as_int():
+    g = WeightedGraph(np.int32(3), [0], [1], [1.0])
+    assert type(g.n) is int and g.n == 3
+
+
+# ------------------------------------------------- numpy operators vs scipy
+# Degrees and component labels are numpy; scipy is the reference here only.
+
+def csgraph_components(g):
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(g.adjacency, directed=False)
+
+
+def assert_matches_scipy(g):
+    count, labels = g.components
+    ref_count, ref_labels = csgraph_components(g)
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(g.degrees, np.asarray(g.adjacency.sum(axis=1)).ravel())
+
+
+@st.composite
+def forests_of_components(draw):
+    """Graphs on up to 60 nodes split into random groups (some of one node,
+    so isolated), each group wired by random edges of widely spread weight."""
+    n = draw(st.integers(1, 60))
+    group = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b and group[a] == group[b]})
+    i = np.array([a for a, _ in pairs], dtype=np.int64)
+    j = np.array([b for _, b in pairs], dtype=np.int64)
+    exps = draw(st.lists(st.integers(-6, 6), min_size=i.size, max_size=i.size))
+    mant = draw(st.lists(st.floats(1.0, 2.0), min_size=i.size, max_size=i.size))
+    return WeightedGraph(n, i, j, np.array(mant) * 10.0 ** np.array(exps, dtype=np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests_of_components())
+def test_components_and_degrees_match_scipy(g):
+    assert_matches_scipy(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_of_components())
+def test_dense_blocks_match_normalized_adjacency(g):
+    # the solver's dense route fills each component's block from the edge
+    # list; it must equal the same block of the CSR operator bit for bit
+    from eigenloc.eigensolver import spectrum_random_walk
+
+    linked = np.flatnonzero(g.degrees > 0)
+    if linked.size == 0:
+        return
+    h = g.subgraph(linked)
+    blocks = []
+    real = np.linalg.eigh
+
+    def spy(A):
+        blocks.append(A.copy())
+        return real(A)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", spy)
+        spectrum_random_walk(h)
+    S = normalized_adjacency(h).matrix.toarray()
+    count, labels = csgraph_components(h)
+    assert len(blocks) == count
+    for c, block in enumerate(blocks):
+        members = np.flatnonzero(labels == c)
+        assert np.array_equal(block, S[np.ix_(members, members)])
+
+
+def test_arpack_blocks_match_normalized_adjacency(monkeypatch):
+    # the ARPACK route builds each component's CSR from the edge list: same
+    # entries, same order within each row, as the slice of the operator
+    import scipy.sparse.linalg as spla
+
+    from eigenloc.eigensolver import spectrum_random_walk
+
+    rng = np.random.default_rng(11)
+    graphs = (random_connected_graph(rng, n_max=80, weighted=True) for _ in range(20))
+    parts = [p for p in graphs if p.n > 10][:3]
+    n = sum(p.n for p in parts)
+    perm = rng.permutation(n)
+    offsets = np.cumsum([0] + [p.n for p in parts])
+    g = WeightedGraph(
+        n,
+        np.concatenate([perm[p.rows + o] for p, o in zip(parts, offsets)]),
+        np.concatenate([perm[p.cols + o] for p, o in zip(parts, offsets)]),
+        np.concatenate([p.weights for p in parts]),
+    )
+    blocks = []
+    real = spla.eigsh
+
+    def spy(A, **kwargs):
+        blocks.append(A.copy())
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    spectrum_random_walk(g, k=1, dense_limit=10)
+    S = normalized_adjacency(g).matrix
+    count, labels = csgraph_components(g)
+    assert len(blocks) == count == 3
+    for c, block in enumerate(blocks):
+        members = np.flatnonzero(labels == c)
+        ref = S[members][:, members]
+        assert block.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name))
+
+
+def test_single_node_and_star_match_scipy():
+    assert_matches_scipy(WeightedGraph(1, [], [], []))
+    for center in (0, 500, 999):
+        leaves = np.delete(np.arange(1000), center)
+        star = WeightedGraph(1000, np.full(999, center), leaves, np.linspace(1.0, 3.0, 999))
+        assert_matches_scipy(star)
+
+
+@pytest.mark.parametrize("order", ["natural", "reversed", "shuffled"])
+def test_long_path_components_within_budget(order):
+    # hooking rounds can grow with the diameter; a 200,000-node path is the
+    # long-diameter case, its nodes visited in natural, reversed or random order
+    n = 200_000
+    visit = np.arange(n)
+    if order == "reversed":
+        visit = visit[::-1].copy()
+    elif order == "shuffled":
+        visit = np.random.default_rng(4).permutation(n)
+    g = WeightedGraph(n, visit[:-1], visit[1:], np.ones(n - 1))
+    t = time.perf_counter()
+    count, labels = g.components
+    g.degrees
+    elapsed = time.perf_counter() - t
+    assert elapsed < 2.0, f"components and degrees took {elapsed:.2f} s"  # about 0.1 s on 2 vCPUs
+    assert count == 1 and not labels.any()
+    assert_matches_scipy(g)
