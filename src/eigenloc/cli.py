@@ -111,9 +111,10 @@ def _cmd_csl(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from . import io as eio
-    from .clustering import sweep_cut
+    from .clustering import _require_connected, sweep_cut
 
     g = _load_graph(args)
+    _require_connected(g)
     basis = _basis(args, g)
     part = sweep_cut(basis.vectors[:, args.rank], g)
     _emit_text(eio.partition_json(args.rank, part) + "\n", args.out)

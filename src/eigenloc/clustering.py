@@ -44,6 +44,13 @@ class TransitionReport:
     factor: float | None
 
 
+def _require_connected(g: WeightedGraph):
+    """DisconnectedGraph unless g is connected: a sweep cut needs that, and
+    callers check it before they solve for the vector to cut."""
+    if g.components[0] > 1:
+        raise DisconnectedGraph("sweep cut needs a connected graph")
+
+
 def sweep_cut(v, g: WeightedGraph) -> Partition:
     """Minimum-conductance prefix along v.
 
@@ -61,8 +68,7 @@ def sweep_cut(v, g: WeightedGraph) -> Partition:
         raise SizeMismatch(f"vector length {v.size} != node count {n}")
     if n < 2:
         raise InputError("sweep cut needs at least 2 nodes")
-    if g.components[0] > 1:
-        raise DisconnectedGraph("sweep cut needs a connected graph")
+    _require_connected(g)
 
     order = np.lexsort((np.arange(n), -v))
     pos = np.argsort(order)  # the sort position of each node
@@ -125,6 +131,13 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     return dist, v_r, v_local
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median(values), bit for bit, without the numpy.ma import it makes."""
+    s = np.sort(values)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def detect_transition(curve, window: int = 10, factor: float = 5.0) -> TransitionReport:
     """First rank whose IPR jumps clear of the preceding delocalized floor.
 
@@ -148,5 +161,5 @@ def detect_transition(curve, window: int = 10, factor: float = 5.0) -> Transitio
         ref = values[max(0, j - window) : j]
         floor = float(ref.min())
         if values[j] >= factor * floor:
-            return TransitionReport(j, float(np.median(ref)), float(values[j] / floor))
+            return TransitionReport(j, _median(ref), float(values[j] / floor))
     return TransitionReport(None, None, None)

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Partition, TransitionReport, detect_transition, sweep_cut
+from .clustering import (
+    Partition,
+    TransitionReport,
+    _require_connected,
+    detect_transition,
+    sweep_cut,
+)
 from .eigensolver import Eigenbasis, normalized_square_spectrum, spectrum_random_walk
 from .errors import CurveTooShort, InputError, MissingLabels, SizeMismatch
 from .localization import Histogram, histogram, ipr_curve
@@ -76,6 +82,8 @@ def analyze(
     for r in sweep_ranks:
         if not 0 <= r < k:
             raise InputError(f"sweep rank {r} outside computed range 0..{k - 1}")
+    if sweep_ranks:
+        _require_connected(g)
     basis = spectrum_random_walk(g, k)
     curve = ipr_curve(basis)
     try:

@@ -14,7 +14,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllZeroSpectrum, ConvergenceFailure, InputError
-from .operators import DENSE_LIMIT, WeightedGraph, _normalized_edge_values, _symmetric_csr
+from .operators import (
+    DENSE_LIMIT,
+    WeightedGraph,
+    _normalized_edge_values,
+    _require_positive_degrees,
+    _symmetric_csr,
+)
 
 # bound on ||S y - lambda y|| for a unit y; ||S||_2 = 1, so this is a
 # backward error and needs no scaling with n
@@ -80,16 +86,17 @@ def _sign_normalize(X: np.ndarray) -> np.ndarray:
     return X * signs
 
 
-def _solve_block(n: int, rows, cols, upper, lower, m: int, dense_limit: int):
-    """Top m eigenpairs of the symmetric n x n block holding upper at (rows,
-    cols) and lower at (cols, rows), in any order, by the route the block's
-    size picks, with each pair's residual ||A y - lambda y||; m is k + 1, or
-    n when k >= n - 1."""
+def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
+    """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
+    w) come in canonical order, h = 1/sqrt(d) per node, by the route the
+    block's size picks, with each pair's residual ||A y - lambda y||; m is
+    k + 1, or n when k >= n - 1."""
     k = m - 1
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n)):
         import scipy.sparse.linalg as spla
 
-        A = _symmetric_csr(n, rows, cols, upper, lower)
+        # the per-edge S values live only while the CSR is built
+        A = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
         v0 = np.random.default_rng(START_SEED).standard_normal(n)
         try:
             lam, Y = spla.eigsh(A, k=m, which="LA", v0=v0)
@@ -101,8 +108,7 @@ def _solve_block(n: int, rows, cols, upper, lower, m: int, dense_limit: int):
             raise fail from exc
     else:
         A = np.zeros((n, n))
-        A[rows, cols] = upper
-        A[cols, rows] = lower
+        A[rows, cols], A[cols, rows] = _normalized_edge_values(h, rows, cols, w)
         if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
             import scipy.linalg as sla
 
@@ -112,32 +118,37 @@ def _solve_block(n: int, rows, cols, upper, lower, m: int, dense_limit: int):
             if m < n:  # only these can enter the merge's top m; keep their order
                 keep = np.sort(np.argsort(-lam, kind="stable")[:m])
                 lam, Y = lam[keep], Y[:, keep]
-    return lam, Y, np.linalg.norm(A @ Y - Y * lam, axis=0)
+    R = A @ Y
+    R -= Y * lam
+    return lam, Y, np.linalg.norm(R, axis=0)
 
 
 def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
     """Top m eigenpairs of S, descending, one _solve_block per connected component.
 
-    Each component's edges are cut out of the graph's edge arrays and
-    renumbered 0..size-1 in node order. Components are numbered by their
-    lowest node, and the merge keeps that order among equal eigenvalues (the
-    final sort is stable). Every merged pair must pass its residual check;
-    a failure names its merged rank.
+    A connected graph is one block on the graph's own edge arrays. Otherwise
+    each component's edges are cut out of them and renumbered 0..size-1 in
+    node order. Components are numbered by their lowest node, and the merge
+    keeps that order among equal eigenvalues (the final sort is stable).
+    Every merged pair must pass its residual check; a failure names its
+    merged rank.
     """
-    upper, lower = _normalized_edge_values(g)  # raises IsolatedNode
+    h = 1.0 / np.sqrt(_require_positive_degrees(g))  # raises IsolatedNode
     ncomp, labels = g.components
     perm = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=ncomp))])
-    local = np.empty(g.n, dtype=np.int64)
-    local[perm] = np.arange(g.n) - bounds[labels[perm]]
-    order = np.argsort(labels[g.rows], kind="stable")
-    ebounds = np.searchsorted(labels[g.rows][order], np.arange(ncomp + 1))
-    rows, cols = local[g.rows][order], local[g.cols][order]
-    upper, lower = upper[order], lower[order]
+    if ncomp == 1:
+        blocks = [(g.rows, g.cols, g.weights)]
+    else:
+        local = np.empty(g.n, dtype=np.int64)
+        local[perm] = np.arange(g.n) - bounds[labels[perm]]
+        order = np.argsort(labels[g.rows], kind="stable")
+        ebounds = np.searchsorted(labels[g.rows][order], np.arange(ncomp + 1)).tolist()
+        rows, cols, w = local[g.rows][order], local[g.cols][order], g.weights[order]
+        blocks = [(rows[e:f], cols[e:f], w[e:f]) for e, f in zip(ebounds[:-1], ebounds[1:])]
     parts = [
-        _solve_block(b - a, rows[e:f], cols[e:f], upper[e:f], lower[e:f], min(m, b - a), dense_limit)
-        for a, b, e, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
-                              ebounds[:-1].tolist(), ebounds[1:].tolist())
+        _solve_block(b - a, *edges, h[perm[a:b]], min(m, b - a), dense_limit)
+        for a, b, edges in zip(bounds[:-1].tolist(), bounds[1:].tolist(), blocks)
     ]
     evals = np.concatenate([lam for lam, _, _ in parts])
     comp = np.repeat(np.arange(ncomp), [lam.size for lam, _, _ in parts])
@@ -190,9 +201,9 @@ def spectrum_random_walk(
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
     m = min(k + 1, n)
-    evals, Y = _solve_components(g, m, dense_limit)
-    X = Y / np.sqrt(g.degrees)[:, None]
-    X = X / np.linalg.norm(X, axis=0, keepdims=True)
+    evals, X = _solve_components(g, m, dense_limit)
+    X /= np.sqrt(g.degrees)[:, None]
+    X /= np.linalg.norm(X, axis=0, keepdims=True)
     X = _sign_normalize(X)
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])

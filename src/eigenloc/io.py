@@ -203,7 +203,8 @@ def _mm_bulk(text: str, path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. numpy < 2 reading "1.0" as an integer
         try:
-            rec = np.loadtxt(io.StringIO(body), dtype=_ENTRY, comments=None, ndmin=1)
+            # bytes: a StringIO would hold 4 bytes per character
+            rec = np.loadtxt(io.BytesIO(body.encode()), dtype=_ENTRY, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
     # one entry on every line, so entry e sits on line size_line + 1 + e

@@ -212,12 +212,36 @@ def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, 
 
 def _symmetric_csr(n: int, rows, cols, upper, lower) -> sp.csr_matrix:
     """n x n CSR holding upper[e] at (rows[e], cols[e]) and lower[e] at
-    (cols[e], rows[e]), column indices sorted within each row."""
+    (cols[e], rows[e]), column indices sorted within each row, for edges in
+    canonical order (rows < cols, sorted by (rows, cols)).
+
+    Row i holds its lower entries (edges with cols[e] == i) and then its
+    upper ones (rows[e] == i), each in edge order, so sorted. Every entry is
+    written once into preallocated arrays: the same arrays and index dtype
+    as scipy's coo_matrix(...).tocsr(), without its 2E-long coordinates.
+    """
     import scipy.sparse as sp
 
-    i = np.concatenate([rows, cols])
-    j = np.concatenate([cols, rows])
-    return sp.coo_matrix((np.concatenate([upper, lower]), (i, j)), shape=(n, n)).tocsr()
+    below = np.bincount(cols, minlength=n)  # lower-triangle entries per row
+    above = np.bincount(rows, minlength=n)
+    nnz = 2 * rows.size
+    index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(below + above, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    # upper entry e follows edges 0..e-1 and every lower entry of rows <= rows[e]
+    pos = np.arange(rows.size)
+    pos += np.cumsum(below)[rows]
+    indices[pos] = cols
+    data[pos] = upper
+    # lower entry e follows the lower entries before it in the stable order
+    # by cols and every upper entry of rows < cols[e]
+    pos[np.argsort(cols, kind="stable")] = np.arange(rows.size)
+    pos += (np.cumsum(above) - above)[cols]
+    indices[pos] = rows
+    data[pos] = lower
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,22 +276,27 @@ def random_walk(g: WeightedGraph) -> OperatorMatrix:
     return OperatorMatrix(P.tocsr())
 
 
-def _normalized_edge_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of S = D^(-1/2) W D^(-1/2) per edge e: (upper, lower), S at
-    (rows[e], cols[e]) and at (cols[e], rows[e]).
+def _normalized_edge_values(h: np.ndarray, rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of S = D^(-1/2) W D^(-1/2) per edge e, with h = 1/sqrt(d):
+    (upper, lower), S at (rows[e], cols[e]) and at (cols[e], rows[e]).
 
-    With h = 1/sqrt(d) they are (h_i w) h_j and (h_j w) h_i, the products
-    diag(h) @ W @ diag(h) forms in that order, so the two triangles can
-    differ in the last bit just as in that product.
+    They are (h_i w) h_j and (h_j w) h_i, the products diag(h) @ W @ diag(h)
+    forms in that order, so the two triangles can differ in the last bit
+    just as in that product.
     """
-    h = 1.0 / np.sqrt(_require_positive_degrees(g))
-    hi, hj = h[g.rows], h[g.cols]
-    return (hi * g.weights) * hj, (hj * g.weights) * hi
+    upper = h[rows]
+    upper *= w
+    upper *= h[cols]
+    lower = h[cols]
+    lower *= w
+    lower *= h[rows]
+    return upper, lower
 
 
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     """S = D^(-1/2) W D^(-1/2); symmetric, similar to the random-walk operator."""
-    upper, lower = _normalized_edge_values(g)
+    h = 1.0 / np.sqrt(_require_positive_degrees(g))
+    upper, lower = _normalized_edge_values(h, g.rows, g.cols, g.weights)
     return OperatorMatrix(_symmetric_csr(g.n, g.rows, g.cols, upper, lower))
 
 

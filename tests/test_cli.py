@@ -13,6 +13,7 @@ from eigenloc import (
     PathRandom,
     TwoLevelSpec,
     TwoModuleBead,
+    WeightedGraph,
     cli,
     eigensolver,
     generate_bead_chain,
@@ -332,6 +333,33 @@ def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
     argv = ["analyze", str(graph_path), "--out", str(tmp_path / "r"), "--ranks", "1,2"]
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_disconnected_graph_refused_before_the_solve(tmp_path, capsys, monkeypatch, command):
+    # a sweep cut needs a connected graph; the component count is known
+    # before the spectrum, so nothing is solved for a request that must fail
+    from eigenloc import diagnostics
+
+    calls = []
+    real = eigensolver.spectrum_random_walk
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "spectrum_random_walk", spy)
+    monkeypatch.setattr(diagnostics, "spectrum_random_walk", spy)
+    two_paths = WeightedGraph(10, [0, 1, 2, 3, 5, 6, 7, 8], [1, 2, 3, 4, 6, 7, 8, 9], np.ones(8))
+    graph_path = tmp_path / "two_paths.mtx"
+    write_graph(two_paths, graph_path)
+    argv = {
+        "analyze": ["analyze", str(graph_path), "--k", "3", "--ranks", "1", "--out", str(tmp_path / "r")],
+        "sweep": ["sweep", str(graph_path), "--rank", "1", "--k", "3"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "sweep cut needs a connected graph" in capsys.readouterr().err
+    assert calls == []
 
 
 def er_spec_doc():

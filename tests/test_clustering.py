@@ -238,6 +238,30 @@ def test_detect_transition_fires_inside_first_window():
     assert report.rank == 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1e-3, 2e-3, 0.1, 1 / 3, 0.5, 1.0]) | st.floats(1e-6, 1.0),
+                min_size=1, max_size=10))
+def test_transition_median_matches_numpy_bitwise(values):
+    # the baseline median avoids np.median (which imports numpy.ma) but must
+    # give its bits, ties and even windows included
+    from eigenloc.clustering import _median
+
+    ref = np.array(values)
+    assert np.float64(_median(ref)).tobytes() == np.median(ref).tobytes()
+
+
+def test_transition_median_matches_numpy_on_random_windows():
+    from eigenloc.clustering import _median
+
+    rng = np.random.default_rng(7)
+    for size in range(1, 11):
+        for _ in range(500):
+            ref = rng.random(size)
+            if rng.random() < 0.5:  # ties
+                ref = np.round(ref, 1)
+            assert np.float64(_median(ref)).tobytes() == np.median(ref).tobytes()
+
+
 def test_detect_transition_curve_too_short():
     with pytest.raises(CurveTooShort):
         detect_transition(fake_curve([0.5] * 5), window=10)

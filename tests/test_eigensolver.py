@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,3 +430,24 @@ def test_arpack_route_deterministic_bitwise():
     b = spectrum_random_walk(g, k=50)
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_arpack_route_memory_budget():
+    # Past ARPACK's n x ncv basis and the returned n x m block, the solve may
+    # hold one CSR of S (2E values, 2E int32 indices) and little else per
+    # edge: no relabeled edge copies, no COO, no per-edge S values in eigsh.
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
+    )
+    assert g.n == 3000 and g.components[0] == 1
+    spectrum_random_walk(path_graph(30), 2, dense_limit=10)  # imports and first-call state
+    k, m = 20, 21
+    ncv = 2 * m + 1  # eigsh's default
+    tracemalloc.start()
+    try:
+        spectrum_random_walk(g, k, dense_limit=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 8 * g.n * (ncv + m) + 64 * g.edge_count
+    assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"

@@ -74,7 +74,9 @@ def write_chain(tmp_path, beads: int, size: int):
 
 def test_dense_route_loads_no_scipy_solver(tmp_path):
     # a 400-node chain at k = n takes the full dense route, numpy's eigh on a
-    # block filled from the edge list; components and degrees are numpy too
+    # block filled from the edge list; components and degrees are numpy too.
+    # The transition baseline is a median taken without np.median, which
+    # imports numpy.ma
     write_chain(tmp_path, beads=4, size=50)
     commands = [
         ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "400", "--ranks", "1,2", "--out", "r"],
@@ -84,6 +86,7 @@ def test_dense_route_loads_no_scipy_solver(tmp_path):
     for argv in commands:
         mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
         assert "numpy" in mods and loaded(mods, "scipy") == [], argv[0]
+        assert loaded(mods, "numpy.ma") == [], argv[0]
 
 
 def test_evr_route_loads_scipy_linalg_but_no_sparse(tmp_path):

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenloc import (
@@ -275,6 +275,34 @@ def forests_of_components(draw):
 @given(forests_of_components())
 def test_components_and_degrees_match_scipy(g):
     assert_matches_scipy(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests_of_components(), st.integers(0, 2**32 - 1))
+@example(WeightedGraph(1, [], [], []), 0)
+@example(WeightedGraph(7, [], [], []), 0)
+@example(WeightedGraph(7, [0, 2, 2], [6, 3, 5], [1.0, 2.0, 3.0]), 1)  # isolated 1 and 4
+def test_symmetric_csr_matches_scipy_tocsr(g, seed):
+    # built in place from the canonical edge order, the CSR must equal
+    # scipy's COO conversion of both triangles array for array, index dtype
+    # included, with the lower triangle off by an ulp here and there
+    import scipy.sparse as sp
+
+    from eigenloc.operators import _symmetric_csr
+
+    upper = g.weights
+    step = np.random.default_rng(seed).integers(-1, 2, upper.size)
+    lower = np.nextafter(upper, upper + step)
+    A = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
+    ref = sp.coo_matrix(
+        (np.concatenate([upper, lower]),
+         (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))),
+        shape=(g.n, g.n),
+    ).tocsr()
+    assert A.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @settings(max_examples=60, deadline=None)
