@@ -135,7 +135,7 @@ def _cmd_transition(args) -> int:
 
 def _cmd_compare_restriction(args) -> int:
     from . import io as eio
-    from .clustering import partition_agreement, restrict_and_compare, sweep_cut
+    from .clustering import _restricted_subgraph, partition_agreement, restrict_and_compare, sweep_cut
 
     if args.group < 0:
         raise InputError(f"group must be >= 0, got {args.group}")
@@ -145,9 +145,9 @@ def _cmd_compare_restriction(args) -> int:
     subset = (g.labels == args.group).nonzero()[0]
     if subset.size == 0:
         raise MissingLabels(f"no node carries group {args.group}")
+    sub = _restricted_subgraph(g, subset)
     basis = _basis(args, g)
     dist, v_r, v_l = restrict_and_compare(basis.vectors[:, args.rank], subset, g)
-    sub = g.subgraph(subset)
     cut_r = sweep_cut(v_r, sub)
     cut_l = sweep_cut(v_l, sub)
     identical = partition_agreement(cut_r, cut_l) == 1.0

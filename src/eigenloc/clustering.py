@@ -99,6 +99,18 @@ def partition_agreement(a: Partition, b: Partition) -> float:
     return max(same, 1.0 - same)
 
 
+def _restricted_subgraph(g: WeightedGraph, idx: np.ndarray) -> WeightedGraph:
+    """g's subgraph induced on the sorted distinct nodes idx, or
+    SubsetTooSmall / DisconnectedSubgraph when no restriction can be compared
+    on it; callers check it before they solve for the vector to restrict."""
+    if idx.size < 2:
+        raise SubsetTooSmall("restriction needs at least 2 nodes")
+    sub = g.subgraph(idx)
+    if sub.components[0] > 1:
+        raise DisconnectedSubgraph("subset induces a disconnected subgraph")
+    return sub
+
+
 def restrict_and_compare(v_full, subset, g: WeightedGraph):
     """Compare a full-graph eigenvector against its subgraph-native twin.
 
@@ -112,11 +124,7 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     if v_full.size != g.n:
         raise SizeMismatch(f"vector length {v_full.size} != node count {g.n}")
     idx = np.unique(np.asarray(list(subset), dtype=np.int64))
-    if idx.size < 2:
-        raise SubsetTooSmall("restriction needs at least 2 nodes")
-    sub = g.subgraph(idx)
-    if sub.components[0] > 1:
-        raise DisconnectedSubgraph("subset induces a disconnected subgraph")
+    sub = _restricted_subgraph(g, idx)
     v_r = v_full[idx]
     norm = np.linalg.norm(v_r)
     if norm == 0.0:

@@ -29,17 +29,31 @@ DEGENERACY_TOL = 1e-9  # eigenvalues closer than this form one cluster
 # Route thresholds (see spectrum_random_walk). Below SUBSET_MIN_N nodes a
 # full solve costs less than process start; above k = n / SUBSET_RATIO the
 # evr subset solve stops winning against it (measured crossover between n/8
-# and n/4); at k <= n / ARPACK_RATIO ARPACK beats evr. evr / ARPACK seconds
-# on bead chains (best of 2, 2 BLAS threads, 2-core VM):
-#   n=2,000: k=50 0.48/0.17, k=100 0.52/0.54, k=125 0.58/0.70
-#   n=4,000: k=50 3.38/0.39, k=100 3.57/0.91, k=125 3.71/1.29, k=250 4.39/3.88
+# and n/4); at k <= n / LANCZOS_RATIO Lanczos beats evr. evr / Lanczos seconds
+# for a whole spectrum_random_walk (best of 2, 2 BLAS threads, 2-core VM):
+#   bead chains n=1,000: k=25 0.17/0.05, k=50 0.19/0.09, k=100 0.19/0.18, k=125 0.21/0.20
+#               n=2,000: k=50 0.60/0.24, k=100 0.67/0.49, k=200 0.85/0.76, k=250 1.04/0.99,
+#                        k=400 1.25/1.60
+#               n=4,000: k=100 3.89/0.78, k=200 4.52/1.99, k=500 6.33/5.71, k=800 8.71/11.25
+#   tori        n=1,024: k=51 0.58/0.15, k=102 0.38/0.42, k=128 0.58/0.75
+#               n=2,025: k=202 0.69/0.88, k=253 0.71/1.16
+# Bead chains would move the crossover to n/8, tori keep it below n/10, and
+# evr is exact on the multiplicities a torus has, so it stays at n/20.
 SUBSET_MIN_N = 1000
 SUBSET_RATIO = 8
-ARPACK_RATIO = 20
-# ARPACK start vector seed: a fixed pseudo-random start keeps runs
+LANCZOS_RATIO = 20
+# Lanczos start vector seed: a fixed pseudo-random start keeps runs
 # reproducible and, unlike a uniform one, is not invariant under the
-# graph's symmetries, whose antisymmetric eigenvectors it would never reach
+# graph's symmetries, whose antisymmetric eigenvectors it would never reach;
+# START_SEED + 1 seeds the vectors that continue a basis after a breakdown
 START_SEED = 20110601
+# _lanczos: a Ritz pair has converged when |beta q_{p,i}| <= LANCZOS_TOL
+# (||S||_2 = 1, so this is a backward error), and beta <= LANCZOS_TOL is a
+# breakdown; MAX_RESTARTS caps the restarts; the returned vectors must be
+# orthonormal to ORTH_TOL
+LANCZOS_TOL = 1e-13
+MAX_RESTARTS = 1000
+ORTH_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,26 +100,94 @@ def _sign_normalize(X: np.ndarray) -> np.ndarray:
     return X * signs
 
 
+def _lanczos(A, m: int, v0: np.ndarray):
+    """Top m eigenpairs, ascending, of the symmetric n x n CSR matrix A with
+    ||A||_2 <= 1, by thick-restart Lanczos with full reorthogonalization
+    (Wu & Simon 2000, SIAM J. Matrix Anal. Appl. 22:602), started from v0.
+
+    The basis V holds p = min(n, max(2m+1, 60)) vectors as rows; the floor
+    of 60 keeps clustered top spectra, such as a long path's, from
+    stalling. Each restart keeps the top keep = m + (p-m)//5 Ritz vectors,
+    rotated in place in blocks of rows, plus the residual direction, so T
+    is an arrowhead followed by a tridiagonal. Each step makes one
+    classical Gram-Schmidt pass against V (two GEMVs) and a second pass
+    when beta < 1e-3 ||A v_j|| (cancellation) or, on every later step, once
+    a coefficient outside T's structure has exceeded 1e-12 ||A v_j||: the
+    basis has started to lose orthogonality, and one pass would carry the
+    loss forward. On a breakdown (beta <= LANCZOS_TOL, an invariant
+    subspace) the basis continues from a seeded random vector
+    orthogonalized against V. ConvergenceFailure after MAX_RESTARTS
+    restarts, naming the first rank (descending) not converged, or when the
+    returned vectors are not orthonormal to ORTH_TOL.
+    """
+    n = A.shape[0]
+    p = min(n, max(2 * m + 1, 60))
+    keep = m + (p - m) // 5
+    V = np.empty((p + 1, n))  # V[p] holds the residual direction
+    T = np.zeros((p, p))
+    V[0] = v0 / np.linalg.norm(v0)
+    rng = np.random.default_rng(START_SEED + 1)
+    start, careful = 0, False
+    for _ in range(MAX_RESTARTS):
+        for j in range(start, p):
+            w = A @ V[j]
+            norm = np.linalg.norm(w)
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            lo = 0 if j == start else j - 1  # h[lo:] is T's row: arrowhead, else tridiagonal
+            careful = careful or (lo > 0 and np.abs(h[:lo]).max() > 1e-12 * norm)
+            beta = np.linalg.norm(w)
+            if careful or beta < 1e-3 * norm:
+                h2 = V[: j + 1] @ w
+                w -= h2 @ V[: j + 1]
+                h[j] += h2[j]
+                beta = np.linalg.norm(w)
+            T[j, j] = h[j]
+            if beta <= LANCZOS_TOL:
+                beta = 0.0
+                if j + 1 == n:  # V spans the whole space
+                    break
+                w = rng.standard_normal(n)
+                for _ in range(2):
+                    w -= (V[: j + 1] @ w) @ V[: j + 1]
+                w /= np.linalg.norm(w)
+            else:
+                w /= beta
+            V[j + 1] = w
+            if j + 1 < p:
+                T[j, j + 1] = T[j + 1, j] = beta
+        theta, Q = np.linalg.eigh(T)
+        converged = np.abs(beta * Q[p - 1, p - m :]) <= LANCZOS_TOL
+        r = m if converged.all() else keep
+        rotate = np.ascontiguousarray(Q[:, p - r :].T)
+        for a in range(0, n, 2048):
+            V[:r, a : a + 2048] = rotate @ V[:p, a : a + 2048]
+        if r == m:
+            break
+        T[:] = 0.0
+        T[np.arange(keep), np.arange(keep)] = theta[p - keep :]
+        T[keep, :keep] = T[:keep, keep] = beta * Q[p - 1, p - keep :]
+        V[keep] = V[p]
+        start = keep
+    else:
+        raise ConvergenceFailure(int(np.argmin(converged[::-1])))  # the first False, descending
+    Y = np.ascontiguousarray(V[:m].T)
+    off = np.abs(Y.T @ Y - np.eye(m)).max(axis=0)
+    if not off.max() <= ORTH_TOL:  # a NaN fails too
+        raise ConvergenceFailure(int(np.argmax(~(off[::-1] <= ORTH_TOL))))
+    return theta[p - m :], Y
+
+
 def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
     w) come in canonical order, h = 1/sqrt(d) per node, by the route the
     block's size picks, with each pair's residual ||A y - lambda y||; m is
     k + 1, or n when k >= n - 1."""
     k = m - 1
-    if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n)):
-        import scipy.sparse.linalg as spla
-
+    if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
         # the per-edge S values live only while the CSR is built
         A = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
-        v0 = np.random.default_rng(START_SEED).standard_normal(n)
-        try:
-            lam, Y = spla.eigsh(A, k=m, which="LA", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(len(exc.eigenvalues)) from exc
-        except spla.ArpackError as exc:  # e.g. error 3, "No shifts could be applied"
-            fail = ConvergenceFailure(0)
-            fail.args = (str(exc),)  # ARPACK's own "ARPACK error <info>: <text>"
-            raise fail from exc
+        lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
     else:
         A = np.zeros((n, n))
         A[rows, cols], A[cols, rows] = _normalized_edge_values(h, rows, cols, w)
@@ -178,14 +260,15 @@ def spectrum_random_walk(
     in the order of each component's lowest node. A component of n nodes
     solved for k + 1 pairs takes one of three routes:
 
-    - Lanczos (ARPACK) on the sparse matrix when n > dense_limit, or when
-      n >= SUBSET_MIN_N and ARPACK_RATIO * k <= n (k <= n / 20);
+    - thick-restart Lanczos (_lanczos) on the sparse matrix when
+      n > dense_limit, or when n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n
+      (k <= n / 20);
     - dense subset (LAPACK evr, index range) when n >= SUBSET_MIN_N and
       SUBSET_RATIO * k <= n otherwise (n / 20 < k <= n / 8);
     - full dense (LAPACK syevd via numpy) for the rest, and whenever
       k >= n - 1.
 
-    ARPACK starts from a fixed-seed pseudo-random vector. All routes are
+    Lanczos starts from a fixed-seed pseudo-random vector. All routes are
     deterministic: identical inputs give identical output bytes. The top-k
     eigenvalues are a bitwise prefix of the full spectrum only on the full
     dense route; the others agree with it to rounding, not bitwise.

@@ -24,7 +24,7 @@ from .errors import (
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# the solver's default dense limit: above this node count it runs ARPACK
+# the solver's default dense limit: above this node count it runs Lanczos
 DENSE_LIMIT = 5000
 
 
@@ -126,11 +126,21 @@ class WeightedGraph:
 
         That row sum is numpy's add.reduceat over each CSR row, lower
         neighbours first, each side ascending, pairwise beyond 8 terms;
-        this makes the same call on the same sequence of weights.
+        this makes the same call on the same sequence of weights, placed in
+        each row's slots as _symmetric_csr places them but without index
+        arrays: one stable argsort of cols orders the lower weights, and a
+        boolean mask of the lower slots splits the two sides.
         """
-        order = np.argsort(np.concatenate([self.cols, self.rows]), kind="stable")
-        w = np.concatenate([self.weights, self.weights])[order]
-        count = np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.n)
+        below = np.bincount(self.cols, minlength=self.n)
+        above = np.bincount(self.rows, minlength=self.n)
+        lower = self.weights[np.argsort(self.cols, kind="stable")]
+        # True on the lower slots of each row, then False on its upper ones
+        is_lower = np.repeat(np.tile([True, False], self.n), np.column_stack([below, above]).ravel())
+        w = np.empty(2 * self.rows.size)
+        w[is_lower] = lower
+        del lower
+        w[~is_lower] = self.weights  # upper weights in edge order: by row, then ascending
+        count = below + above
         d = np.zeros(self.n)
         has = count > 0
         d[has] = np.add.reduceat(w, (np.cumsum(count) - count)[has])

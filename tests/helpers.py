@@ -61,6 +61,23 @@ def path_graph(n: int) -> WeightedGraph:
     return WeightedGraph(n, i, i + 1, np.ones(n - 1))
 
 
+def torus_graph(r: int, c: int) -> WeightedGraph:
+    """r x c lattice with wraparound, each node joined to its 4 neighbours."""
+    idx = np.arange(r * c).reshape(r, c)
+    a = np.concatenate([idx.ravel(), idx.ravel()])
+    b = np.concatenate([np.roll(idx, -1, 1).ravel(), np.roll(idx, -1, 0).ravel()])
+    return WeightedGraph(r * c, np.minimum(a, b), np.maximum(a, b), np.ones(a.size))
+
+
+def hypercube_graph(d: int) -> WeightedGraph:
+    """Q_d: nodes 0..2^d-1, i ~ j when i XOR j is a power of 2. S has
+    eigenvalue 1 - 2i/d with multiplicity C(d, i)."""
+    i = np.repeat(np.arange(2**d), d)
+    j = i ^ np.tile(1 << np.arange(d), 2**d)
+    keep = i < j
+    return WeightedGraph(2**d, i[keep], j[keep], np.ones(int(keep.sum())))
+
+
 def complete_graph(n: int) -> WeightedGraph:
     i, j = np.triu_indices(n, 1)
     return WeightedGraph(n, i, j, np.ones(i.size))

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from eigenloc import (
     PathRandom,
@@ -200,32 +199,15 @@ def test_numerical_failure_exits_3(chain_files, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_partial_arpack_convergence_exits_3(tmp_path, capsys, monkeypatch):
-    # above the dense limit analyze takes the ARPACK route
+def test_partial_lanczos_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    # above the dense limit analyze takes the Lanczos route; one restart
+    # leaves even the top pair of a long path unconverged
     graph_path = tmp_path / "path.mtx"
     write_graph(path_graph(5002), graph_path)
-
-    def stalled(A, k, **kwargs):
-        raise spla.ArpackNoConvergence("stalled", np.array([1.0, 0.9]), np.zeros((A.shape[0], 2)))
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 1)
     rc = cli.main(["analyze", str(graph_path), "--out", str(tmp_path / "report")])
     assert rc == 3
-    assert "eigenpair 2 failed" in capsys.readouterr().err
-
-
-def test_arpack_error_exits_3(tmp_path, capsys, monkeypatch):
-    # ARPACK's error 3 ("No shifts could be applied") is not a non-convergence
-    graph_path = tmp_path / "path.mtx"
-    write_graph(path_graph(5002), graph_path)
-
-    def failed(A, k, **kwargs):
-        raise spla.ArpackError(3)
-
-    monkeypatch.setattr(spla, "eigsh", failed)
-    rc = cli.main(["analyze", str(graph_path), "--out", str(tmp_path / "report")])
-    assert rc == 3
-    assert f"numerical failure: {spla.ArpackError(3)}" in capsys.readouterr().err
+    assert "numerical failure: eigenpair 0 failed" in capsys.readouterr().err
 
 
 LATIN1 = b"% caf\xe9\n"  # a byte that is not UTF-8
@@ -436,6 +418,31 @@ def test_compare_restriction_absent_group_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no node carries group 3" in err
     assert "at least 2 nodes" not in err
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [([0, 1, 1, 1, 1, 0], "disconnected subgraph"), ([0, 1, 1, 1, 1, 1], "at least 2 nodes")],
+    ids=["disconnected", "one_node"],
+)
+def test_compare_restriction_refused_before_the_solve(tmp_path, capsys, monkeypatch, groups, message):
+    # the group's subgraph is known before the spectrum, so a group that
+    # restrict_and_compare must refuse costs no solve
+    calls = []
+    real = eigensolver.spectrum_random_walk
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "spectrum_random_walk", spy)
+    graph, labels = tmp_path / "g.mtx", tmp_path / "g.labels.csv"
+    write_graph(path_graph(6), graph)
+    labels.write_text("node_id,group_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(groups)))
+    argv = ["compare-restriction", str(graph), "--labels", str(labels), "--rank", "1", "--group", "0"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 def test_compare_restriction_negative_group_exits_2(tmp_path, capsys):

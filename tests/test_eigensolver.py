@@ -1,16 +1,22 @@
+import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
+import eigenloc
 from eigenloc import (
     PathRandom,
     TwoLevelSpec,
     TwoModuleBead,
     WeightedGraph,
+    eigensolver,
     generalized_laplacian_eigs,
     generate_bead_chain,
     generate_grid,
@@ -22,7 +28,7 @@ from eigenloc import (
     tensor_block,
 )
 from eigenloc.errors import AllZeroSpectrum, ConvergenceFailure, InputError, IsolatedNode
-from helpers import complete_graph, path_graph, random_connected_graph
+from helpers import complete_graph, hypercube_graph, path_graph, random_connected_graph, torus_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -280,16 +286,6 @@ def test_degenerate_flag_not_cut_off_at_k(base):
     assert basis.gaps.shape == (4,)
 
 
-def test_partial_arpack_convergence_is_a_convergence_failure(monkeypatch):
-    def stalled(A, k, **kwargs):
-        raise spla.ArpackNoConvergence("stalled", np.array([1.0, 0.9]), np.zeros((A.shape[0], 2)))
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
-    with pytest.raises(ConvergenceFailure) as exc:
-        spectrum_random_walk(path_graph(30), k=4, dense_limit=10)
-    assert exc.value.rank == 2
-
-
 def test_nan_residual_fails_the_check(monkeypatch):
     def junk(A):
         return np.ones(A.shape[0]), np.full(A.shape, np.nan)
@@ -333,8 +329,8 @@ def test_failure_in_second_component_reports_merged_rank(monkeypatch):
     assert exc.value.residual == pytest.approx(1e-6, rel=1e-3)
 
 
-# ------------------------------------------------------------ ARPACK route
-# Below the dense limit, n >= 1000 with 20k <= n takes ARPACK; dense_limit=10
+# ----------------------------------------------------------- Lanczos route
+# Below the dense limit, n >= 1000 with 20k <= n takes Lanczos; dense_limit=10
 # forces it on any graph whose components exceed 10 nodes.
 
 def bead_chain(beads, seed=5):
@@ -351,7 +347,7 @@ def bead_chain(beads, seed=5):
     ],
     ids=["path_2000", "tensor_block_4_two_module", "tensor_block_3_grid"],
 )
-def test_arpack_route_matches_full_dense_solve(make, k):
+def test_lanczos_route_matches_full_dense_solve(make, k):
     # a uniform start vector misses the antisymmetric eigenvectors of these
     g = make()
     full = spectrum_random_walk(g)
@@ -361,26 +357,97 @@ def test_arpack_route_matches_full_dense_solve(make, k):
     assert np.array_equal(lanczos.degenerate, full.degenerate[:k])
 
 
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: bead_chain(2), 30),
+        (lambda: generate_grid(30, 40), 40),
+        (lambda: torus_graph(20, 30), 20),
+        (lambda: path_graph(500), 20),
+        (lambda: hypercube_graph(10), 10),  # 1 and all ten copies of 4/5
+    ],
+    ids=["bead_chain", "grid_30x40", "torus_20x30", "path_500", "hypercube_10"],
+)
+def test_lanczos_route_matches_dense_eigvalsh(make, k):
+    g = make()
+    ref = np.linalg.eigvalsh(normalized_adjacency(g).matrix.toarray())[::-1]
+    basis = spectrum_random_walk(g, k=k, dense_limit=10)
+    assert np.abs(basis.lambdas - ref[:k]).max() <= 1e-12
+    # D-orthogonal: the returned columns are D^-1/2 times orthonormal ones
+    G = basis.vectors.T @ (g.degrees[:, None] * basis.vectors)
+    G /= np.sqrt(np.outer(np.diag(G), np.diag(G)))
+    assert np.abs(G - np.eye(k)).max() <= 1e-10
+
+
+def test_lanczos_route_finds_every_copy_on_hypercube_12():
+    # S of Q12 has eigenvalue 1 - i/6 with multiplicity C(12, i): 13 distinct
+    # values, so the Krylov space breaks down again and again, and a basis
+    # kept by single Gram-Schmidt passes loses its orthogonality here
+    basis = spectrum_random_walk(hypercube_graph(12), k=100)
+    ref = np.repeat(1 - np.arange(13) / 6, [math.comb(12, i) for i in range(13)])
+    assert np.abs(basis.lambdas - ref[:100]).max() <= 1e-12
+
+
+def test_clustered_top_spectrum_converges_quickly():
+    # a path's top eigenvalues crowd toward 1; ARPACK's 20-vector basis
+    # took 2.9 s here, a 60-vector floor converges in a fraction of that
+    g = path_graph(2000)
+    ref = np.linalg.eigvalsh(normalized_adjacency(g).matrix.toarray())[::-1]
+    spectrum_random_walk(path_graph(30), 2, dense_limit=10)  # first-call state
+    t = time.perf_counter()
+    basis = spectrum_random_walk(g, k=6, dense_limit=10)
+    elapsed = time.perf_counter() - t
+    assert np.abs(basis.lambdas - ref[:6]).max() <= 1e-12
+    assert elapsed < 1.5, f"path(2000), k=6 took {elapsed:.2f} s"  # about 0.3 s on 2 vCPUs
+
+
 @pytest.mark.parametrize("beads, k", [(4, 50), (8, 100)])
-def test_small_k_dense_range_takes_arpack(monkeypatch, beads, k):
+def test_small_k_dense_range_takes_lanczos(monkeypatch, beads, k):
+    # Lanczos runs once and diagonalizes only its small projected matrices
     calls = []
-    for mod, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
+    for mod, name in ((eigensolver, "_lanczos"), (sla, "eigh"), (np.linalg, "eigh")):
         real = getattr(mod, name)
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+        def spy(A, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, A.shape[0]))
+            return _real(A, *args, **kwargs)
 
         monkeypatch.setattr(mod, name, spy)
     g = bead_chain(beads)
     spectrum_random_walk(g, k=k)
-    assert calls == ["eigsh"]
+    assert calls[0] == ("_lanczos", g.n)
+    assert all(name == "eigh" and size <= 2 * k + 3 for name, size in calls[1:])
     assert g.n == 500 * beads and g.components[0] == 1
 
 
-def test_arpack_route_on_grid_keeps_multiplicities():
+def test_lanczos_restart_cap_is_a_convergence_failure(monkeypatch):
+    # one restart leaves the top few pairs converged and the rest not; the
+    # failure names the first rank not converged
+    monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 1)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(bead_chain(4), k=50)
+    assert 0 < exc.value.rank < 50
+
+
+def test_lanczos_ghost_copy_is_a_convergence_failure(monkeypatch):
+    # a Ritz vector returned twice passes every residual check; only the
+    # orthonormality check on the returned basis can refuse it
+    real = np.linalg.eigh
+
+    def ghost(T):
+        theta, Q = real(T)
+        theta[-2], Q[:, -2] = theta[-1], Q[:, -1]
+        return theta, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", ghost)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(path_graph(40), k=4, dense_limit=10)  # 40 <= 60: one basis fill
+    assert exc.value.rank == 0
+
+
+def test_lanczos_route_on_grid_keeps_multiplicities():
     g = generate_grid(60, 60)
-    head = spectrum_random_walk(g, k=100)  # 20k <= n: ARPACK
+    head = spectrum_random_walk(g, k=100)  # 20k <= n: Lanczos
     full = spectrum_random_walk(g)
     assert np.abs(head.lambdas - full.lambdas[:100]).max() <= 1e-9
     assert np.array_equal(head.clusters, full.clusters[:100])
@@ -404,7 +471,7 @@ def test_many_components_solved_one_at_a_time():
 
 
 def test_components_merge_with_mixed_routes():
-    # a 2,000-node chain (ARPACK) beside a 3-path (full solve)
+    # a 2,000-node chain (Lanczos) beside a 3-path (full solve)
     chain = bead_chain(4)
     p3 = path_graph(3)
     g = WeightedGraph(
@@ -424,7 +491,7 @@ def test_components_merge_with_mixed_routes():
     assert np.array_equal(on_path, ~on_chain)
 
 
-def test_arpack_route_deterministic_bitwise():
+def test_lanczos_route_deterministic_bitwise():
     g = bead_chain(4, seed=6)
     a = spectrum_random_walk(g, k=50)
     b = spectrum_random_walk(g, k=50)
@@ -432,22 +499,53 @@ def test_arpack_route_deterministic_bitwise():
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def test_arpack_route_memory_budget():
-    # Past ARPACK's n x ncv basis and the returned n x m block, the solve may
-    # hold one CSR of S (2E values, 2E int32 indices) and little else per
-    # edge: no relabeled edge copies, no COO, no per-edge S values in eigsh.
+# three Lanczos solves of one chain, each after a pad that moves every later
+# allocation; prints a digest of each result
+SHIFTED_SOLVES = """
+import hashlib
+import numpy as np
+from eigenloc import generate_bead_chain, spec_from_json, spectrum_random_walk
+bead = {"kind": "two_module", "n1": 250, "n2": 250, "p1": 0.2, "p2": 0.02}
+doc = {"beads": [bead] * 4, "interaction": {"kind": "path_random", "p": 0.002}, "seed": 6}
+g = generate_bead_chain(spec_from_json(doc))
+pads = []
+for r in range(3):
+    pads.append(np.ones(r * 77777))
+    basis = spectrum_random_walk(g, 50)
+    print(hashlib.sha256(basis.lambdas.tobytes() + basis.vectors.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lanczos_route_bytes_do_not_follow_allocations(threads):
+    src = str(Path(eigenloc.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SHIFTED_SOLVES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    digests = proc.stdout.split()
+    assert len(digests) == 3 and len(set(digests)) == 1, digests
+
+
+def test_lanczos_route_memory_budget():
+    # Past the n x (p+1) Lanczos basis and the returned n x m block, the
+    # solve may hold one CSR of S (2E values, 2E int32 indices: 24 B per
+    # edge) and little else per edge: no relabeled edge copies, no COO, no
+    # per-edge S values while Lanczos runs, no 2E-long index arrays for the
+    # degrees.
     g = generate_bead_chain(
         TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
     )
     assert g.n == 3000 and g.components[0] == 1
     spectrum_random_walk(path_graph(30), 2, dense_limit=10)  # imports and first-call state
     k, m = 20, 21
-    ncv = 2 * m + 1  # eigsh's default
+    p = max(2 * m + 1, 60)  # _lanczos's basis size
     tracemalloc.start()
     try:
         spectrum_random_walk(g, k, dense_limit=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    budget = 8 * g.n * (ncv + m) + 64 * g.edge_count
+    budget = 8 * g.n * (p + 1 + m) + 40 * g.edge_count
     assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"

@@ -98,6 +98,16 @@ def test_evr_route_loads_scipy_linalg_but_no_sparse(tmp_path):
     assert loaded(mods, "scipy.sparse") == []
 
 
+def test_lanczos_route_loads_scipy_sparse_only(tmp_path):
+    # 1,200 nodes with k = 20 (k <= n/20) takes the owned Lanczos on a
+    # scipy CSR matrix: no ARPACK module and no scipy.linalg
+    write_chain(tmp_path, beads=3, size=200)
+    argv = ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "20", "--ranks", "1,2", "--out", "r"]
+    mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
+    assert "scipy.sparse" in mods
+    assert loaded(mods, "scipy.sparse.linalg") == [] and loaded(mods, "scipy.linalg") == []
+
+
 def test_every_public_name_resolves_to_its_home_object():
     for name, module in eigenloc._HOME.items():
         home = importlib.import_module(f"eigenloc.{module}")

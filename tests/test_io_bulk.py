@@ -305,7 +305,7 @@ def test_writers_match_reference_subset_route(tmp_path):
     _check_writers(g, analyze(g, k=20, sweep_ranks=(1,)), tmp_path)
 
 
-def test_writers_match_reference_arpack_route(tmp_path, monkeypatch):
+def test_writers_match_reference_lanczos_route(tmp_path, monkeypatch):
     g = _chain(3, 40, 0.01, seed=6)
     monkeypatch.setattr(
         diagnostics, "spectrum_random_walk", functools.partial(spectrum_random_walk, dense_limit=10)

@@ -334,12 +334,10 @@ def test_dense_blocks_match_normalized_adjacency(g):
         assert np.array_equal(block, S[np.ix_(members, members)])
 
 
-def test_arpack_blocks_match_normalized_adjacency(monkeypatch):
-    # the ARPACK route builds each component's CSR from the edge list: same
+def test_lanczos_blocks_match_normalized_adjacency(monkeypatch):
+    # the Lanczos route builds each component's CSR from the edge list: same
     # entries, same order within each row, as the slice of the operator
-    import scipy.sparse.linalg as spla
-
-    from eigenloc.eigensolver import spectrum_random_walk
+    from eigenloc import eigensolver
 
     rng = np.random.default_rng(11)
     graphs = (random_connected_graph(rng, n_max=80, weighted=True) for _ in range(20))
@@ -354,14 +352,14 @@ def test_arpack_blocks_match_normalized_adjacency(monkeypatch):
         np.concatenate([p.weights for p in parts]),
     )
     blocks = []
-    real = spla.eigsh
+    real = eigensolver._lanczos
 
-    def spy(A, **kwargs):
+    def spy(A, *args):
         blocks.append(A.copy())
-        return real(A, **kwargs)
+        return real(A, *args)
 
-    monkeypatch.setattr(spla, "eigsh", spy)
-    spectrum_random_walk(g, k=1, dense_limit=10)
+    monkeypatch.setattr(eigensolver, "_lanczos", spy)
+    eigensolver.spectrum_random_walk(g, k=1, dense_limit=10)
     S = normalized_adjacency(g).matrix
     count, labels = csgraph_components(g)
     assert len(blocks) == count == 3
@@ -371,6 +369,43 @@ def test_arpack_blocks_match_normalized_adjacency(monkeypatch):
         assert block.has_sorted_indices
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, name), getattr(ref, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 400), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_degrees_with_hubs_match_scipy(n, hubs, seed):
+    # hub rows past 128 entries take numpy's recursive pairwise sum
+    rng = np.random.default_rng(seed)
+    centers = rng.choice(n, size=min(hubs, n - 1), replace=False)
+    a = np.concatenate([np.repeat(centers, n), rng.integers(0, n, 2 * n)])
+    b = np.concatenate([np.tile(np.arange(n), centers.size), rng.integers(0, n, 2 * n)])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pairs = np.unique(np.stack([lo, hi])[:, lo < hi], axis=1)
+    w = rng.uniform(1.0, 2.0, pairs.shape[1]) * 10.0 ** rng.integers(-6, 7, pairs.shape[1])
+    g = WeightedGraph(n, pairs[0], pairs[1], w)
+    assert np.array_equal(g.degrees, np.asarray(g.adjacency.sum(axis=1)).ravel())
+
+
+def test_degrees_memory_budget():
+    # the weights once in CSR row order (16 B per edge), one stable argsort
+    # of cols and its gathered weights (8 + 8 B), a 2-byte-per-edge mask:
+    # no 2E-long index arrays
+    import tracemalloc
+
+    from eigenloc import PathRandom, TwoLevelSpec, TwoModuleBead, generate_bead_chain
+
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
+    )
+    fresh = WeightedGraph(g.n, g.rows, g.cols, g.weights)
+    tracemalloc.start()
+    try:
+        fresh.degrees
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 28 * g.edge_count + 80 * g.n
+    assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"
 
 
 def test_single_node_and_star_match_scipy():
