@@ -27,16 +27,19 @@ def _emit_text(text: str, out: str | None):
 
 def _basis(args, g):
     """Top-k eigenbasis for a command: --k, else min(n, DEFAULT_K) widened to
-    cover --rank, which must then lie in the computed range."""
+    cover --rank. --k, --rank, --window and --tau are checked before the solve."""
+    from .clustering import _check_transition_args
     from .diagnostics import DEFAULT_K
-    from .eigensolver import spectrum_random_walk
+    from .eigensolver import _check_k, spectrum_random_walk
 
     rank = getattr(args, "rank", None)
     k = args.k if args.k is not None else min(g.n, max(DEFAULT_K, (rank or 0) + 1))
-    basis = spectrum_random_walk(g, k)
-    if rank is not None and not 0 <= rank < basis.k:
-        raise InputError(f"rank {rank} outside computed range 0..{basis.k - 1}")
-    return basis
+    _check_k(g.n, k)
+    if rank is not None and not 0 <= rank < k:
+        raise InputError(f"rank {rank} outside computed range 0..{k - 1}")
+    if hasattr(args, "window"):  # transition
+        _check_transition_args(args.window, args.tau)
+    return spectrum_random_walk(g, k)
 
 
 def _parse_ranks(text: str | None) -> tuple[int, ...]:

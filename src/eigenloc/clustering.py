@@ -146,6 +146,14 @@ def _median(values: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
+def _check_transition_args(window: int, factor: float) -> None:
+    """detect_transition's checks, which callers make before they solve."""
+    if window < 1:
+        raise InputError("window must be >= 1")
+    if not 1 < factor < np.inf:  # <= 1 fires on every curve; JSON has no nan or inf
+        raise InputError(f"factor must be > 1 and finite, got {factor}")
+
+
 def detect_transition(curve, window: int = 10, factor: float = 5.0) -> TransitionReport:
     """First rank whose IPR jumps clear of the preceding delocalized floor.
 
@@ -156,10 +164,7 @@ def detect_transition(curve, window: int = 10, factor: float = 5.0) -> Transitio
     reads "localized on <= 1/factor of the nodes". The median of the same
     window is reported as the baseline level.
     """
-    if window < 1:
-        raise InputError("window must be >= 1")
-    if not 1 < factor < np.inf:  # <= 1 fires on every curve; JSON has no nan or inf
-        raise InputError(f"factor must be > 1 and finite, got {factor}")
+    _check_transition_args(window, factor)
     values = np.asarray(curve, dtype=np.float64)
     if values.size < window + 1:
         raise CurveTooShort(

@@ -9,13 +9,14 @@ import numpy as np
 from .clustering import (
     Partition,
     TransitionReport,
+    _check_transition_args,
     _require_connected,
     detect_transition,
     sweep_cut,
 )
-from .eigensolver import Eigenbasis, normalized_square_spectrum, spectrum_random_walk
+from .eigensolver import Eigenbasis, _check_k, normalized_square_spectrum, spectrum_random_walk
 from .errors import CurveTooShort, InputError, MissingLabels, SizeMismatch
-from .localization import Histogram, histogram, ipr_curve
+from .localization import Histogram, _check_nbins, histogram, ipr_curve
 from .operators import WeightedGraph
 
 DEFAULT_K = 100
@@ -73,17 +74,20 @@ def analyze(
     """Full pipeline over the top-k spectrum (default k = min(n, 100)).
 
     Curves shorter than window+1 entries report no transition rather than
-    failing: a two-eigenvector curve has nothing to detect against. window
-    and tau are checked whatever the curve's length.
+    failing: a two-eigenvector curve has nothing to detect against. k, the
+    sweep ranks, window, tau and nbins are all checked before the solve.
     """
     if k is None:
         k = min(g.n, DEFAULT_K)
+    _check_k(g.n, k)
     sweep_ranks = tuple(int(r) for r in sweep_ranks)
     for r in sweep_ranks:
         if not 0 <= r < k:
             raise InputError(f"sweep rank {r} outside computed range 0..{k - 1}")
     if sweep_ranks:
         _require_connected(g)
+    _check_transition_args(window, tau)
+    _check_nbins(nbins)
     basis = spectrum_random_walk(g, k)
     curve = ipr_curve(basis)
     try:

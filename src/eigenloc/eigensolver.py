@@ -248,6 +248,12 @@ def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
     return evals[top], Y
 
 
+def _check_k(n: int, k: int) -> None:
+    """spectrum_random_walk's check of k, which callers make first of all."""
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
+
+
 def spectrum_random_walk(
     g: WeightedGraph,
     k: int | None = None,
@@ -281,8 +287,7 @@ def spectrum_random_walk(
     n = g.n
     if k is None:
         k = n
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
+    _check_k(n, k)
     m = min(k + 1, n)
     evals, X = _solve_components(g, m, dense_limit)
     X /= np.sqrt(g.degrees)[:, None]

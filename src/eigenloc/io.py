@@ -532,63 +532,33 @@ def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> st
     return _json_text(doc) + "\n"
 
 
-def _write_ranks(out: Path, report: AnalysisReport, ranks) -> tuple[int, str] | None:
-    """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order; stops
-    at the first failed write and returns (its rank, the reason), else None."""
+def _write_ranks(out: Path, report: AnalysisReport, ranks) -> None:
+    """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order."""
     for rank in ranks:
         edges, counts = report.hists[rank].bin_edges, report.hists[rank].counts
         bins = _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], counts)
-        try:
-            (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
-            (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
-        except OSError as exc:
-            return rank, str(exc)
-    return None
+        (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
+        (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
 
 
-def _fork_writer(out: Path, report: AnalysisReport, ranks) -> tuple[int, int]:
-    """Fork a child that writes the files of these ranks -> (its pid, the read
-    end of a pipe on which it reports "<rank> <reason>" when a write fails)."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns that forking a process with threads (OpenBLAS's)
-            # may deadlock the child. This child only formats with Python and
-            # numpy's elementwise code, never calls BLAS or waits on another
-            # thread, and leaves through os._exit without running the parent's
-            # atexit hooks or flushing its stdio buffers.
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+def _fork_writer(out: Path, report: AnalysisReport, ranks) -> int:
+    """Fork a child that writes the files of these ranks -> its pid. The
+    child exits with status 0 if every write succeeded, else 1."""
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads (OpenBLAS's)
+        # may deadlock the child. This child only formats with Python and
+        # numpy's elementwise code, never calls BLAS or waits on another
+        # thread, and leaves through os._exit without running the parent's
+        # atexit hooks or flushing its stdio buffers.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         try:
-            os.close(r)
-            try:
-                failed = _write_ranks(out, report, ranks)
-            except BaseException as exc:  # anything but a failed write, e.g. MemoryError
-                failed = ranks[0], repr(exc)
-            if failed is not None:
-                os.write(w, ("%d %s" % failed).encode())
-        finally:
+            _write_ranks(out, report, ranks)
             os._exit(0)
-    os.close(w)
-    return pid, r
-
-
-def _reap_writer(pid: int, fd: int, first_rank: int) -> tuple[int, str] | None:
-    """Wait for a writer child -> (rank, reason) of its failure, or None."""
-    with os.fdopen(fd, "rb") as pipe:
-        msg = pipe.read().decode()  # EOF once the child has exited
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if msg:
-        rank, reason = msg.split(" ", 1)
-        return int(rank), reason
-    if code != 0:
-        return first_rank, f"report writer process exited with status {code}"
-    return None
+        finally:  # reached only if a write raised, since os._exit does not return
+            os._exit(1)
+    return pid
 
 
 def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
@@ -596,33 +566,32 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
 
     Rank r's eigvec_<r>.csv and hist_<r>.csv are written by worker r % W,
     where W = min(usable CPUs, k): worker 0 is this process, the others are
-    forked children (this process writes a share it cannot fork for). The
-    bytes written do not depend on W. On failure the IoError names the first
-    failed write in the order of the returned paths.
+    forked children, a speed-up only. If a fork, a write or a child fails,
+    this process writes every rank again in rank order, as it does alone
+    (W = 1). So the bytes written do not depend on W, and on failure the
+    IoError names the first failed write in the order of the returned paths.
     """
     out = Path(out_dir)
     basis = report.basis
-    k = basis.k
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    nworkers = min(cpus, k)
+    nworkers = min(cpus, basis.k)
     try:
         out.mkdir(parents=True, exist_ok=True)
         spectrum = _format_rows("%d,%.17g,%.17g\n", range(basis.k), basis.lambdas, report.sq_spectrum)
         (out / "spectrum.csv").write_text("rank,eigenvalue,sq_spectrum_frac\n" + spectrum)
         (out / "ipr.csv").write_text(ipr_csv(basis, report.curve))
-        workers, failures = [], []
+        pids, failed = [], False
         try:
             for first in range(1, nworkers):
-                try:
-                    workers.append((*_fork_writer(out, report, range(first, k, nworkers)), first))
-                except OSError:  # no process or pipe to spare: this process writes the share
-                    failures.append(_write_ranks(out, report, range(first, k, nworkers)))
-            failures.append(_write_ranks(out, report, range(0, k, nworkers)))
+                pids.append(_fork_writer(out, report, range(first, basis.k, nworkers)))
+            _write_ranks(out, report, range(0, basis.k, nworkers))
+        except OSError:  # a failed fork, or a failed write of this process
+            failed = True
         finally:
-            failures += [_reap_writer(*worker) for worker in workers]
-        failed = [f for f in failures if f is not None]
-        if failed:  # the lowest failed rank, whose write came first in a single process
-            raise OSError(min(failed)[1])
+            for pid in pids:  # a nonzero status: a write failed, or the child died
+                failed |= os.waitpid(pid, 0)[1] != 0
+        if failed:  # the single-process write, which raises at the first failed write
+            _write_ranks(out, report, range(basis.k))
         groups = _format_rows("%d,%d,%.17g,%.17g\n", *zip(*(report.group_table or ())))
         (out / "groups.csv").write_text("rank,group,l2_frac,l1_frac\n" + groups)
         (out / "transition.json").write_text(transition_json(report.transition, report.window, report.tau))
@@ -630,6 +599,6 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
         (out / "partitions.json").write_text("[" + parts + "]\n")
     except OSError as exc:
         raise IoError(f"cannot write report to {out}: {exc}") from exc
-    ranked = [f"{kind}_{rank}.csv" for rank in range(k) for kind in ("eigvec", "hist")]
+    ranked = [f"{kind}_{rank}.csv" for rank in range(basis.k) for kind in ("eigvec", "hist")]
     names = ["spectrum.csv", "ipr.csv", *ranked, "groups.csv", "transition.json", "partitions.json"]
     return [out / name for name in names]

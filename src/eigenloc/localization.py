@@ -78,6 +78,12 @@ def mass_concentration(v, subset) -> tuple[float, float]:
     return float(sq[idx].sum() / sq.sum()), float(ab[idx].sum() / ab.sum())
 
 
+def _check_nbins(nbins: int) -> None:
+    """histogram's check of nbins, which callers make before they solve."""
+    if nbins < 1:
+        raise InputError("nbins must be >= 1")
+
+
 def histogram(v, nbins: int = 50) -> Histogram:
     """Uniform-width bins over [min, max]; the last bin is right-inclusive.
 
@@ -85,8 +91,7 @@ def histogram(v, nbins: int = 50) -> Histogram:
     rounding (spread <= CONSTANT_RTOL * max|v|) fills the first bin. Bins
     numpy cannot make finite-sized are an InputError.
     """
-    if nbins < 1:
-        raise InputError("nbins must be >= 1")
+    _check_nbins(nbins)
     v = np.asarray(v, dtype=np.float64).ravel()
     lo, hi = float(v.min()), float(v.max())
     if hi - lo < 1e-12:

@@ -105,13 +105,6 @@ class WeightedGraph:
         return cls(n, i, j, w, labels, sublabels)
 
     @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(w))
-            for i, j, w in zip(self.rows, self.cols, self.weights)
-        ]
-
-    @property
     def edge_count(self) -> int:
         return int(self.rows.size)
 

@@ -135,10 +135,6 @@ class TwoLevelSpec:
                     f"identity coupling needs equal bead sizes, got {sorted(sizes)}"
                 )
 
-    @property
-    def n(self) -> int:
-        return sum(b.size for b in self.beads)
-
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))

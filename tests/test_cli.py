@@ -48,7 +48,8 @@ def test_generate_writes_graph_and_labels(chain_files, capsys):
     assert graph_path.exists() and label_path.exists()
     g = parse_graph(graph_path, label_path)
     direct = generate_bead_chain(CHAIN)
-    assert g.edges == direct.edges
+    assert np.array_equal(g.rows, direct.rows) and np.array_equal(g.cols, direct.cols)
+    assert np.array_equal(g.weights, direct.weights)
     assert np.array_equal(g.labels, direct.labels)
     assert np.array_equal(g.sublabels, direct.sublabels)
 
@@ -59,7 +60,9 @@ def test_generate_seed_override(tmp_path):
     a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
     assert cli.main(["generate", str(spec_path), "--out", str(a)]) == 0
     assert cli.main(["generate", str(spec_path), "--out", str(b), "--seed", "99"]) == 0
-    assert parse_graph(a).edges != parse_graph(b).edges
+    ga, gb = parse_graph(a), parse_graph(b)
+    assert not (np.array_equal(ga.rows, gb.rows) and np.array_equal(ga.cols, gb.cols)
+                and np.array_equal(ga.weights, gb.weights))
 
 
 def test_analyze_command(chain_files, tmp_path, capsys):
@@ -163,7 +166,8 @@ def test_migration_kernel_command(tmp_path, capsys):
     out = tmp_path / "kernel.mtx"
     assert cli.main(["migration-kernel", str(flows), str(pops), "--out", str(out)]) == 0
     g = parse_graph(out)
-    assert g.edges == [(0, 1, pytest.approx(0.02, abs=1e-15))]
+    assert (g.rows.tolist(), g.cols.tolist()) == ([0], [1])
+    assert g.weights.tolist() == [pytest.approx(0.02, abs=1e-15)]
 
 
 def test_bad_input_exits_2(tmp_path, capsys):
@@ -443,6 +447,51 @@ def test_compare_restriction_refused_before_the_solve(tmp_path, capsys, monkeypa
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+BAD_ARGUMENTS = [
+    (["analyze", "--window", "0"], "window must be >= 1"),
+    (["analyze", "--tau", "1"], "factor must be > 1 and finite, got 1.0"),
+    (["analyze", "--tau", "nan"], "factor must be > 1 and finite, got nan"),
+    (["analyze", "--bins", "0"], "nbins must be >= 1"),
+    (["transition", "--window", "0"], "window must be >= 1"),
+    (["transition", "--tau", "0.5"], "factor must be > 1 and finite, got 0.5"),
+    (["csl", "--rank", "-1"], "rank -1 outside computed range 0..5"),
+    (["sweep", "--rank", "-1"], "rank -1 outside computed range 0..5"),
+    (["compare-restriction", "--rank", "-1"], "rank -1 outside computed range 0..5"),
+    (["csl", "--rank", "9", "--k", "5"], "rank 9 outside computed range 0..4"),
+    (["sweep", "--rank", "5", "--k", "5"], "rank 5 outside computed range 0..4"),
+    (["compare-restriction", "--rank", "5", "--k", "5"], "rank 5 outside computed range 0..4"),
+    # a bad --k is named first
+    (["analyze", "--k", "0", "--window", "0", "--bins", "0"], "k must be in 1..6, got 0"),
+    (["transition", "--k", "7", "--tau", "0.5"], "k must be in 1..6, got 7"),
+    (["csl", "--rank", "9", "--k", "0"], "k must be in 1..6, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS, ids=[" ".join(argv) for argv, _ in BAD_ARGUMENTS])
+def test_bad_arguments_refused_before_the_solve(tmp_path, capsys, monkeypatch, argv, message):
+    from eigenloc import diagnostics
+
+    calls = []
+    real = eigensolver.spectrum_random_walk
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "spectrum_random_walk", spy)
+    monkeypatch.setattr(diagnostics, "spectrum_random_walk", spy)
+    graph, labels, out = tmp_path / "g.mtx", tmp_path / "g.labels.csv", tmp_path / "out"
+    write_graph(path_graph(6), graph)
+    labels.write_text("node_id,group_id\n" + "".join(f"{i},{i // 3}\n" for i in range(6)))
+    command, *options = argv
+    extra = {"analyze": ["--out", str(out)], "compare-restriction": ["--labels", str(labels), "--group", "0"]}
+    assert cli.main([command, str(graph), *options, *extra.get(command, [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_compare_restriction_negative_group_exits_2(tmp_path, capsys):

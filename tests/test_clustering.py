@@ -132,7 +132,7 @@ def test_sweep_prefers_smaller_tie_prefix():
     for size in range(1, 4):
         side = np.zeros(4, dtype=bool)
         side[:size] = True
-        cut = sum(w for i, j, w in g.edges if side[i] != side[j])
+        cut = sum(g.weights[side[g.rows] != side[g.cols]].tolist())
         vol = g.degrees[side].sum()
         p = cut / min(vol, g.degrees.sum() - vol)
         if p == phi:

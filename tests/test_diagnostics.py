@@ -100,7 +100,7 @@ def test_analyze_permutation_invariance():
     g = random_connected_graph(rng, n_max=40, weighted=False)
     perm = rng.permutation(g.n)
     relabeled = {}
-    edges = [(min(perm[i], perm[j]), max(perm[i], perm[j]), w) for i, j, w in g.edges]
+    edges = [(min(perm[i], perm[j]), max(perm[i], perm[j]), w) for i, j, w in zip(g.rows, g.cols, g.weights)]
     from eigenloc import WeightedGraph
 
     h = WeightedGraph.from_edges(g.n, edges)

@@ -224,7 +224,8 @@ def assert_same_spectrum(head, full):
     assert np.array_equal(head.degenerate, full.degenerate[:k])
 
 
-def test_subset_route_is_taken_only_for_large_n_small_k(monkeypatch):
+def eigh_spy(monkeypatch):
+    """Record the subset_by_index of every scipy.linalg.eigh call: the subset route."""
     calls = []
     real = sla.eigh
 
@@ -233,6 +234,11 @@ def test_subset_route_is_taken_only_for_large_n_small_k(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sla, "eigh", spy)
+    return calls
+
+
+def test_subset_route_is_taken_only_for_large_n_small_k(monkeypatch):
+    calls = eigh_spy(monkeypatch)
     g = bead_chain_1000()
     spectrum_random_walk(g, k=125)
     assert calls == [[874, 999]]  # k + 1 = 126 columns
@@ -241,49 +247,62 @@ def test_subset_route_is_taken_only_for_large_n_small_k(monkeypatch):
     assert len(calls) == 1
 
 
-def test_subset_route_matches_full_route_on_bead_chain():
+def test_subset_route_matches_full_route_on_bead_chain(monkeypatch):
     g = bead_chain_1000()
     full = spectrum_random_walk(g)
-    head = spectrum_random_walk(g, k=20)
+    calls = eigh_spy(monkeypatch)
+    head = spectrum_random_walk(g, k=100)
+    assert calls == [[899, 999]]
     assert_same_spectrum(head, full)
     assert not head.degenerate.any()
     for j in range(head.k):
         a, b = head.vectors[:, j], full.vectors[:, j]
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-8
     # the Lanczos route agrees on a graph without repeated eigenvalues
-    lanczos = spectrum_random_walk(g, k=20, dense_limit=10)
+    lanczos = spectrum_random_walk(g, k=100, dense_limit=10)
     assert np.abs(lanczos.lambdas - head.lambdas).max() <= 1e-9
     assert np.array_equal(lanczos.clusters, head.clusters)
     assert np.array_equal(lanczos.degenerate, head.degenerate)
 
 
-def test_subset_route_keeps_multiplicities_of_tensor_block():
-    g = tensor_block(4, two_module_325())
+def test_subset_route_keeps_multiplicities_of_tensor_block(monkeypatch):
+    # two copies of a 1,000-node chain: every eigenvalue is 2-fold
+    g = tensor_block(2, bead_chain_1000())
     full = spectrum_random_walk(g)
-    head = spectrum_random_walk(g, k=12)
+    calls = eigh_spy(monkeypatch)
+    head = spectrum_random_walk(g, k=100)
+    assert calls == [[899, 999]] * 2  # one subset solve per component
     assert_same_spectrum(head, full)
-    assert np.bincount(head.clusters).tolist() == [4, 4, 4]
+    assert np.bincount(head.clusters).tolist() == [2] * 50
     G = head.vectors.T @ (g.degrees[:, None] * head.vectors)
     across = head.clusters[:, None] != head.clusters[None, :]
     assert np.abs(G[across]).max() <= 1e-12 * g.degrees.max()
 
 
-def test_subset_route_deterministic_bitwise():
+def test_subset_route_deterministic_bitwise(monkeypatch):
     g = bead_chain_1000(seed=4)
-    a = spectrum_random_walk(g, k=10)
-    b = spectrum_random_walk(g, k=10)
+    calls = eigh_spy(monkeypatch)
+    a = spectrum_random_walk(g, k=100)
+    b = spectrum_random_walk(g, k=100)
+    assert calls == [[899, 999]] * 2
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.vectors, b.vectors)
 
 
-@pytest.mark.parametrize("base", [lambda: path_graph(6), two_module_325], ids=["full", "subset"])
-def test_degenerate_flag_not_cut_off_at_k(base):
-    # ranks 0-3 and 4-7 are 4-fold clusters; k = 5 cuts the second one
+@pytest.mark.parametrize(
+    "base, k, subset",
+    # 4 copies: ranks 0-3, 4-7, ... are 4-fold clusters, and k cuts the last one
+    [(lambda: path_graph(6), 5, None), (bead_chain_1000, 101, [898, 999])],
+    ids=["full", "subset"],
+)
+def test_degenerate_flag_not_cut_off_at_k(monkeypatch, base, k, subset):
     g = tensor_block(4, base())
-    basis = spectrum_random_walk(g, k=5)
-    assert basis.degenerate.tolist() == [True] * 5
-    assert basis.clusters.tolist() == [0, 0, 0, 0, 1]
-    assert basis.gaps.shape == (4,)
+    calls = eigh_spy(monkeypatch)
+    basis = spectrum_random_walk(g, k=k)
+    assert calls == ([] if subset is None else [subset] * 4)
+    assert basis.degenerate.tolist() == [True] * k
+    assert basis.clusters.tolist() == [j // 4 for j in range(k)]
+    assert basis.gaps.shape == (k - 1,)
 
 
 def test_nan_residual_fails_the_check(monkeypatch):

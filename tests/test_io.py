@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -29,6 +30,7 @@ from eigenloc import (
     write_graph,
     write_labels,
 )
+from eigenloc import io as eio
 from eigenloc.errors import (
     AsymmetricFlow,
     DuplicateEdge,
@@ -56,7 +58,7 @@ SINGLE_EDGE = """%%MatrixMarket matrix coordinate real symmetric
 def test_parse_single_edge(tmp_path):
     g = parse_graph(mm(tmp_path, SINGLE_EDGE))
     assert g.n == 2
-    assert g.edges == [(0, 1, 1.0)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0], [1], [1.0])
 
 
 def test_parse_skips_comments_and_blanks(tmp_path):
@@ -70,7 +72,7 @@ def test_parse_skips_comments_and_blanks(tmp_path):
         "3 2 2.5\n"
     )
     g = parse_graph(mm(tmp_path, body))
-    assert g.edges == [(0, 1, 1.0), (1, 2, 2.5)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0, 1], [1, 2], [1.0, 2.5])
 
 
 def test_parse_rejections(tmp_path):
@@ -125,10 +127,10 @@ def test_general_storage_rules(tmp_path):
     head = "%%MatrixMarket matrix coordinate real general\n"
     # single orientation is fine
     g = parse_graph(mm(tmp_path, head + "2 2 1\n1 2 0.5\n"))
-    assert g.edges == [(0, 1, 0.5)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0], [1], [0.5])
     # mirrored pair with equal weights collapses to one edge
     g = parse_graph(mm(tmp_path, head + "2 2 2\n1 2 0.5\n2 1 0.5\n"))
-    assert g.edges == [(0, 1, 0.5)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0], [1], [0.5])
     # mirrored pair with different weights is a conflict
     with pytest.raises(ParseError):
         parse_graph(mm(tmp_path, head + "2 2 2\n1 2 0.5\n2 1 0.75\n"))
@@ -139,7 +141,7 @@ def test_general_storage_rules(tmp_path):
 
 def test_zero_weight_entries_are_dropped(tmp_path):
     g = parse_graph(mm(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 0\n3 2 1.0\n"))
-    assert g.edges == [(1, 2, 1.0)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([1], [2], [1.0])
 
 
 def test_graph_round_trip_preserves_everything(tmp_path):
@@ -150,7 +152,8 @@ def test_graph_round_trip_preserves_everything(tmp_path):
     write_labels(g, lp)
     back = parse_graph(gp, lp)
     assert back.n == g.n
-    assert back.edges == g.edges
+    assert np.array_equal(back.rows, g.rows) and np.array_equal(back.cols, g.cols)
+    assert np.array_equal(back.weights, g.weights)
     assert np.array_equal(back.labels, g.labels)
     assert back.sublabels is None
 
@@ -165,7 +168,8 @@ def test_round_trip_with_sublabels_and_awkward_weights(tmp_path):
     write_graph(g, gp)
     write_labels(g, lp)
     back = parse_graph(gp, lp)
-    assert back.edges == g.edges  # exact float equality via 17 digits
+    assert np.array_equal(back.rows, g.rows) and np.array_equal(back.cols, g.cols)
+    assert np.array_equal(back.weights, g.weights)  # exact float equality via 17 digits
     assert np.array_equal(back.labels, g.labels)
     assert np.array_equal(back.sublabels, g.sublabels)
 
@@ -211,7 +215,8 @@ def test_migration_round_trip(tmp_path):
     pops.write_text("node_id,population\n0,100\n1,50\n")
     m = parse_migration(flows, pops)
     g = migration_similarity(m)
-    assert g.edges == [(0, 1, pytest.approx(0.02, abs=1e-15))]
+    assert (g.rows.tolist(), g.cols.tolist()) == ([0], [1])
+    assert g.weights.tolist() == [pytest.approx(0.02, abs=1e-15)]
 
 
 def test_migration_rejections(tmp_path):
@@ -323,7 +328,7 @@ def test_migration_memory_grows_with_nodes_and_flows_only(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.edges == [(0, 1, 50.0)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0], [1], [50.0])
     assert peak < 16 * 2**20
 
 
@@ -558,3 +563,24 @@ def test_report_is_written_when_no_process_can_be_forked(tmp_path, monkeypatch):
     assert [p.name for p in written] == [p.name for p in forked]
     for p in forked:
         assert p.read_bytes() == (tmp_path / "here" / p.name).read_bytes(), p.name
+
+
+@two_cpus
+def test_report_is_complete_when_a_writer_process_dies(tmp_path, monkeypatch):
+    report = analyze(generate_two_module(8, 8, 0.9, 0.2, seed=2), k=6, sweep_ranks=(1,))
+    intact = emit_report(report, tmp_path / "intact")
+    parent, write_ranks = os.getpid(), eio._write_ranks
+
+    def dying_write(out, report, ranks):
+        if os.getpid() != parent:  # a forked writer
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_ranks(out, report, ranks)
+
+    monkeypatch.setattr(eio, "_write_ranks", dying_write)
+    written = emit_report(report, tmp_path / "died")
+    assert [p.name for p in written] == [p.name for p in intact]
+    assert sorted(p.name for p in (tmp_path / "died").iterdir()) == sorted(p.name for p in intact)
+    for p in intact:
+        assert p.read_bytes() == (tmp_path / "died" / p.name).read_bytes(), p.name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -252,7 +253,8 @@ def test_written_graphs_take_the_bulk_read(tmp_path):
     write_graph(g, path)
     assert eio._mm_bulk(path.read_text(), path) is not None
     back = parse_graph(path)
-    assert back.edges == g.edges
+    assert np.array_equal(back.rows, g.rows) and np.array_equal(back.cols, g.cols)
+    assert np.array_equal(back.weights, g.weights)
 
 
 # ------------------------------------------------------------------ writers
@@ -299,10 +301,20 @@ def test_writers_match_reference_full_spectrum(tmp_path):
     _check_writers(g, analyze(g, k=400, sweep_ranks=(1, 2)), tmp_path)
 
 
-def test_writers_match_reference_subset_route(tmp_path):
+def test_writers_match_reference_subset_route(tmp_path, monkeypatch):
     g = _chain(6, 100, 0.002, seed=4)
     assert g.n == 1200
-    _check_writers(g, analyze(g, k=20, sweep_ranks=(1,)), tmp_path)
+    calls = []
+    real = sla.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", spy)
+    report = analyze(g, k=100, sweep_ranks=(1,))
+    assert calls == [[1099, 1199]]  # n / 20 < k <= n / 8: LAPACK evr on an index range
+    _check_writers(g, report, tmp_path)
 
 
 def test_writers_match_reference_lanczos_route(tmp_path, monkeypatch):

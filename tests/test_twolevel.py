@@ -28,7 +28,9 @@ def bead_edges(g, beads, t):
     offsets = np.cumsum([0] + [b.size for b in beads])
     lo, hi = offsets[t], offsets[t + 1]
     return {
-        (i, j, w) for i, j, w in g.edges if lo <= i < hi and lo <= j < hi
+        (i, j, w)
+        for i, j, w in zip(g.rows.tolist(), g.cols.tolist(), g.weights.tolist())
+        if lo <= i < hi and lo <= j < hi
     }
 
 
@@ -36,7 +38,7 @@ def cross_edges(g, beads, t, u):
     offsets = np.cumsum([0] + [b.size for b in beads])
     return {
         (i, j, w)
-        for i, j, w in g.edges
+        for i, j, w in zip(g.rows.tolist(), g.cols.tolist(), g.weights.tolist())
         if offsets[t] <= i < offsets[t + 1] and offsets[u] <= j < offsets[u + 1]
     }
 
@@ -59,7 +61,7 @@ def test_er_edge_count_within_binomial_bounds():
 def test_two_module_extremes():
     g = generate_two_module(4, 3, 1.0, 0.0, seed=0)
     assert g.edge_count == 6 + 3  # two cliques, no cross edges
-    assert all((i < 4) == (j < 4) for i, j, _ in g.edges)
+    assert np.array_equal(g.rows < 4, g.cols < 4)
     assert g.labels.tolist() == [0, 0, 0, 0, 1, 1, 1]
 
 
@@ -93,7 +95,8 @@ def test_single_bead_chain_equals_bead_graph():
     spec = TwoLevelSpec((TwoModuleBead(8, 7, 0.7, 0.1),), PathRandom(0.5), seed=3)
     chain = generate_bead_chain(spec)
     alone = generate_two_module(8, 7, 0.7, 0.1, seed=3)
-    assert chain.edges == alone.edges
+    assert np.array_equal(chain.rows, alone.rows) and np.array_equal(chain.cols, alone.cols)
+    assert np.array_equal(chain.weights, alone.weights)
     assert all(chain.labels[v] == 0 for v in range(chain.n))
     assert np.array_equal(chain.sublabels, alone.labels)
 
@@ -102,7 +105,8 @@ def test_er_matches_bead_zero_stream():
     spec = TwoLevelSpec((ERBead(12, 0.4), ERBead(12, 0.4)), PathRandom(0.2), seed=9)
     chain = generate_bead_chain(spec)
     alone = generate_er(12, 0.4, seed=9)
-    assert bead_edges(chain, spec.beads, 0) == set(alone.edges)
+    alone_edges = zip(alone.rows.tolist(), alone.cols.tolist(), alone.weights.tolist())
+    assert bead_edges(chain, spec.beads, 0) == set(alone_edges)
 
 
 def test_identity_coupling_edges():
@@ -141,14 +145,16 @@ def test_seed_determinism_and_prefix_stability():
     beads3 = beads5[:3]
     a = generate_bead_chain(TwoLevelSpec(beads5, PathRandom(0.05), seed=42))
     b = generate_bead_chain(TwoLevelSpec(beads5, PathRandom(0.05), seed=42))
-    assert a.edges == b.edges
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+    assert np.array_equal(a.weights, b.weights)
     c = generate_bead_chain(TwoLevelSpec(beads3, PathRandom(0.05), seed=42))
     for t in range(3):
         assert bead_edges(a, beads5, t) == bead_edges(c, beads3, t)
     for t in range(2):
         assert cross_edges(a, beads5, t, t + 1) == cross_edges(c, beads3, t, t + 1)
     d = generate_bead_chain(TwoLevelSpec(beads5, PathRandom(0.05), seed=43))
-    assert d.edges != a.edges
+    assert not (np.array_equal(d.rows, a.rows) and np.array_equal(d.cols, a.cols)
+                and np.array_equal(d.weights, a.weights))
 
 
 def test_chain_label_completeness():
@@ -160,13 +166,15 @@ def test_chain_label_completeness():
 
 def test_tensor_block_identity():
     w = generate_er(6, 0.5, seed=5)
-    assert tensor_block(1, w).edges == w.edges
+    g = tensor_block(1, w)
+    assert np.array_equal(g.rows, w.rows) and np.array_equal(g.cols, w.cols)
+    assert np.array_equal(g.weights, w.weights)
 
 
 def test_tensor_block_two_edges():
     w = complete_graph(2)
     g = tensor_block(2, w)
-    assert g.edges == [(0, 1, 1.0), (2, 3, 1.0)]
+    assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([0, 2], [1, 3], [1.0, 1.0])
     assert g.labels.tolist() == [0, 0, 1, 1]
 
 
@@ -182,8 +190,7 @@ def test_tensor_block_disjoint_and_sublabels():
     w = generate_two_module(4, 4, 0.9, 0.2, seed=2)
     g = tensor_block(3, w)
     copy = np.array([g.labels[v] for v in range(g.n)])
-    for i, j, _ in g.edges:
-        assert copy[i] == copy[j]
+    assert np.array_equal(copy[g.rows], copy[g.cols])
     assert g.sublabels[0] == w.labels[0]
     assert g.sublabels[8 + 3] == w.labels[3]
 
