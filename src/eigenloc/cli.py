@@ -7,7 +7,6 @@ unreadable/unwritable files, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -52,6 +51,8 @@ def _parse_ranks(text: str | None) -> tuple[int, ...]:
 
 
 def _cmd_generate(args) -> int:
+    import dataclasses
+
     from . import io as eio
     from .twolevel import generate_bead_chain
 

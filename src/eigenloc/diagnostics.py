@@ -38,18 +38,23 @@ class AnalysisReport:
     tau: float
 
 
+def _check_labels(labels, n: int) -> None:
+    """group_mass_table's check of labels, which analyze makes before the solve."""
+    if labels is None:
+        raise MissingLabels("graph carries no labels")
+    if labels.shape != (n,):
+        raise SizeMismatch(f"{labels.size} labels for {n} nodes")
+    if (labels < 0).any():
+        raise MissingLabels(f"node {int(np.argmax(labels < 0))} has no label")
+
+
 def group_mass_table(basis: Eigenbasis, labels) -> list[tuple[int, int, float, float]]:
     """(rank, group, l2 fraction, l1 fraction) for every rank and group.
 
     labels is a graph's int64 label array and must label every node (no -1);
     each rank's l2 fractions sum to one.
     """
-    if labels is None:
-        raise MissingLabels("graph carries no labels")
-    if labels.shape != (basis.n,):
-        raise SizeMismatch(f"{labels.size} labels for {basis.n} nodes")
-    if (labels < 0).any():
-        raise MissingLabels(f"node {int(np.argmax(labels < 0))} has no label")
+    _check_labels(labels, basis.n)
     groups, compact = np.unique(labels, return_inverse=True)
     rows: list[tuple[int, int, float, float]] = []
     for j in range(basis.k):
@@ -75,7 +80,8 @@ def analyze(
 
     Curves shorter than window+1 entries report no transition rather than
     failing: a two-eigenvector curve has nothing to detect against. k, the
-    sweep ranks, window, tau and nbins are all checked before the solve.
+    sweep ranks, window, tau, nbins and any labels are all checked before
+    the solve.
     """
     if k is None:
         k = min(g.n, DEFAULT_K)
@@ -88,6 +94,8 @@ def analyze(
         _require_connected(g)
     _check_transition_args(window, tau)
     _check_nbins(nbins)
+    if g.labels is not None:
+        _check_labels(g.labels, g.n)
     basis = spectrum_random_walk(g, k)
     curve = ipr_curve(basis)
     try:

@@ -8,8 +8,10 @@ sum(v_i^2) = 1.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -100,8 +102,62 @@ def _sign_normalize(X: np.ndarray) -> np.ndarray:
     return X * signs
 
 
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, scipy.sparse._sparsetools, loaded once
+    from its file in the installed scipy package. find_spec("scipy") only
+    locates the package, so neither scipy nor scipy.sparse is imported.
+
+    The extension is taken out of sys.modules again once loaded: found there,
+    a later `import scipy.sparse` would not bind it as that package's
+    _sparsetools attribute.
+    """
+    import importlib.machinery as im
+    import importlib.util
+
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is imported already
+        return sys.modules[name]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    finder = im.FileFinder(
+        os.path.join(scipy_dir, "sparse"), (im.ExtensionFileLoader, im.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+class _CSROperator:
+    """The n x n float64 CSR matrix (data, indices, indptr) as _symmetric_csr
+    returns it, for _lanczos and the residual check.
+
+    A @ x is the product scipy's csr_matrix computes: csr_matvec for a
+    vector and csr_matvecs for an n x r block, into np.zeros outputs and on
+    a C-order copy of a block that is not C-ordered, as csr_matrix's
+    __matmul__ allocates them, so every product is bitwise the same.
+    """
+
+    def __init__(self, n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        self.shape = (n, n)
+        self.data, self.indices, self.indptr = data, indices, indptr
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        if x.ndim == 1:
+            y = np.zeros(n)
+            _sparsetools().csr_matvec(n, n, self.indptr, self.indices, self.data, x, y)
+        else:
+            y = np.zeros((n, x.shape[1]))
+            _sparsetools().csr_matvecs(
+                n, n, x.shape[1], self.indptr, self.indices, self.data, x.ravel(), y.ravel()
+            )
+        return y
+
+
 def _lanczos(A, m: int, v0: np.ndarray):
-    """Top m eigenpairs, ascending, of the symmetric n x n CSR matrix A with
+    """Top m eigenpairs, ascending, of the symmetric n x n CSR operator A with
     ||A||_2 <= 1, by thick-restart Lanczos with full reorthogonalization
     (Wu & Simon 2000, SIAM J. Matrix Anal. Appl. 22:602), started from v0.
 
@@ -186,7 +242,8 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     k = m - 1
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
         # the per-edge S values live only while the CSR is built
-        A = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
+        csr = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
+        A = _CSROperator(n, *csr)
         lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
     else:
         A = np.zeros((n, n))
@@ -266,7 +323,8 @@ def spectrum_random_walk(
     in the order of each component's lowest node. A component of n nodes
     solved for k + 1 pairs takes one of three routes:
 
-    - thick-restart Lanczos (_lanczos) on the sparse matrix when
+    - thick-restart Lanczos (_lanczos) on the sparse matrix, multiplied by
+      scipy's compiled CSR kernel without importing scipy.sparse, when
       n > dense_limit, or when n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n
       (k <= n / 20);
     - dense subset (LAPACK evr, index range) when n >= SUBSET_MIN_N and

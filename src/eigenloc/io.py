@@ -232,13 +232,22 @@ def _mm_entries(path):
     return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _node_rows(path, n: int, widths, columns: str, what: str, parse):
     """Yield (line, node, *values) for each data row of a CSV keyed by node id.
 
-    Blank lines are skipped, and so is a first line whose first cell is not
-    an integer (a header). parse turns a row's cells into (node, *values) or
-    raises ValueError. A column count outside widths, a cell parse rejects, a
-    node outside 0..n-1 or a repeated node is a ParseError naming its line.
+    Blank lines are skipped, and so is a first line whose first cell float()
+    rejects (a header); any other first line is a data row. parse turns a
+    row's cells into (node, *values) or raises ValueError. A column count
+    outside widths, a cell parse rejects, a node outside 0..n-1 or a
+    repeated node is a ParseError naming its line.
     """
     seen = np.zeros(n, dtype=bool)
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -246,7 +255,7 @@ def _node_rows(path, n: int, widths, columns: str, what: str, parse):
         if not s:
             continue
         cells = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not cells[0].lstrip("-").isdigit():
+        if lineno == 1 and not _is_number(cells[0]):
             continue  # header row
         if len(cells) not in widths:
             raise ParseError(f"expected {columns}", line=lineno)

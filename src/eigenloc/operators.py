@@ -2,7 +2,8 @@
 
 A WeightedGraph stores an undirected edge set (i < j, positive weights) plus
 optional per-node group labels. Degrees and component labels come straight
-from the edge arrays with numpy; the operators are scipy CSR matrices.
+from the edge arrays with numpy; the public operators are scipy CSR matrices,
+built on the CSR arrays the solver uses without scipy.
 """
 from __future__ import annotations
 
@@ -111,7 +112,10 @@ class WeightedGraph:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency, CSR."""
-        return _symmetric_csr(self.n, self.rows, self.cols, self.weights, self.weights)
+        import scipy.sparse as sp
+
+        csr = _symmetric_csr(self.n, self.rows, self.cols, self.weights, self.weights)
+        return sp.csr_matrix(csr, shape=(self.n, self.n))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -213,18 +217,19 @@ def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, 
     return int(lowest.sum()), (np.cumsum(lowest) - 1)[root]
 
 
-def _symmetric_csr(n: int, rows, cols, upper, lower) -> sp.csr_matrix:
-    """n x n CSR holding upper[e] at (rows[e], cols[e]) and lower[e] at
-    (cols[e], rows[e]), column indices sorted within each row, for edges in
-    canonical order (rows < cols, sorted by (rows, cols)).
+def _symmetric_csr(n: int, rows, cols, upper, lower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of the n x n CSR matrix holding upper[e] at
+    (rows[e], cols[e]) and lower[e] at (cols[e], rows[e]), column indices
+    sorted within each row, for edges in canonical order (rows < cols,
+    sorted by (rows, cols)).
 
     Row i holds its lower entries (edges with cols[e] == i) and then its
     upper ones (rows[e] == i), each in edge order, so sorted. Every entry is
     written once into preallocated arrays: the same arrays and index dtype
     as scipy's coo_matrix(...).tocsr(), without its 2E-long coordinates.
+    The public builders wrap them in a scipy csr_matrix; the solver reads
+    them as they are, without importing scipy.sparse.
     """
-    import scipy.sparse as sp
-
     below = np.bincount(cols, minlength=n)  # lower-triangle entries per row
     above = np.bincount(rows, minlength=n)
     nnz = 2 * rows.size
@@ -244,7 +249,7 @@ def _symmetric_csr(n: int, rows, cols, upper, lower) -> sp.csr_matrix:
     pos += (np.cumsum(above) - above)[cols]
     indices[pos] = rows
     data[pos] = lower
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return data, indices, indptr
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +303,12 @@ def _normalized_edge_values(h: np.ndarray, rows, cols, w) -> tuple[np.ndarray, n
 
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     """S = D^(-1/2) W D^(-1/2); symmetric, similar to the random-walk operator."""
+    import scipy.sparse as sp
+
     h = 1.0 / np.sqrt(_require_positive_degrees(g))
     upper, lower = _normalized_edge_values(h, g.rows, g.cols, g.weights)
-    return OperatorMatrix(_symmetric_csr(g.n, g.rows, g.cols, upper, lower))
+    csr = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
+    return OperatorMatrix(sp.csr_matrix(csr, shape=(g.n, g.n)))
 
 
 def migration_similarity(m: MigrationInput) -> WeightedGraph:

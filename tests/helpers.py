@@ -228,6 +228,15 @@ def ref_parse_graph(path, label_path=None) -> WeightedGraph:
     return WeightedGraph(n, i, j, w, labels, sublabels)
 
 
+def is_number(cell: str) -> bool:
+    """A CSV's first line is a header only if float() rejects its first cell."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
     """Flows as integer MatrixMarket; populations as CSV node_id,population."""
     n, symmetry, field, entries = ref_mm_entries(flows_path)
@@ -259,7 +268,7 @@ def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
         if not s:
             continue
         toks = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not toks[0].lstrip("-").isdigit():
+        if lineno == 1 and not is_number(toks[0]):
             continue
         if len(toks) != 2:
             raise ParseError("expected node_id,population", line=lineno)

@@ -348,6 +348,29 @@ def test_disconnected_graph_refused_before_the_solve(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+def test_incomplete_labels_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    # the group mass table needs every node labeled; that is known from the
+    # sidecar, so analyze refuses a missing row without solving
+    from eigenloc import diagnostics
+
+    calls = []
+    real = eigensolver.spectrum_random_walk
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "spectrum_random_walk", spy)
+    graph, labels = tmp_path / "g.mtx", tmp_path / "g.labels.csv"
+    write_graph(path_graph(6), graph)
+    labels.write_text("node_id,group_id\n" + "".join(f"{i},{i % 2}\n" for i in range(5)))
+    argv = ["analyze", str(graph), "--labels", str(labels), "--k", "3", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert "node 5 has no label" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r").exists()
+
+
 def er_spec_doc():
     return {"beads": [{"kind": "er", "n": 4, "p": 1.0}], "interaction": {"kind": "path_random", "p": 0.5}, "seed": 3}
 

@@ -41,9 +41,11 @@ def test_import_package_loads_no_numpy(tmp_path):
 
 
 def test_help_loads_neither_numpy_nor_scipy(tmp_path):
+    # nor dataclasses, which pulls in inspect; only generate --seed needs it
     mods = imported(["-m", "eigenloc.cli", "--help"], tmp_path)
     assert "eigenloc.errors" in mods
     assert loaded(mods, "numpy") == [] and loaded(mods, "scipy") == []
+    assert "dataclasses" not in mods
 
 
 def test_generate_and_migration_kernel_load_no_scipy(tmp_path):
@@ -98,14 +100,41 @@ def test_evr_route_loads_scipy_linalg_but_no_sparse(tmp_path):
     assert loaded(mods, "scipy.sparse") == []
 
 
-def test_lanczos_route_loads_scipy_sparse_only(tmp_path):
-    # 1,200 nodes with k = 20 (k <= n/20) takes the owned Lanczos on a
-    # scipy CSR matrix: no ARPACK module and no scipy.linalg
+LANCZOS_PROBE = """
+import json, sys
+from eigenloc import cli, eigensolver
+real, calls = eigensolver._lanczos, []
+def spy(*args):
+    calls.append(1)
+    return real(*args)
+eigensolver._lanczos = spy
+code = cli.main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+with open("probe.json", "w") as f:
+    json.dump({"code": code, "calls": len(calls), "scipy": scipy}, f)
+"""
+
+
+def test_lanczos_route_imports_no_scipy_module(tmp_path):
+    # 1,200 nodes with k = 20 (k <= n/20) takes the owned Lanczos, whose
+    # products run on scipy's compiled CSR kernel loaded from its file: no
+    # scipy module is imported or left in sys.modules
     write_chain(tmp_path, beads=3, size=200)
     argv = ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "20", "--ranks", "1,2", "--out", "r"]
-    mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
-    assert "scipy.sparse" in mods
-    assert loaded(mods, "scipy.sparse.linalg") == [] and loaded(mods, "scipy.linalg") == []
+    mods = imported(["-c", LANCZOS_PROBE, *argv], tmp_path)
+    probe = json.loads((tmp_path / "probe.json").read_text())
+    assert probe["code"] == 0 and probe["calls"] == 1
+    assert loaded(mods, "scipy") == [] and probe["scipy"] == []
+
+
+def test_kernel_loaded_first_is_bound_by_a_later_scipy_sparse_import(tmp_path):
+    probe = (
+        "from eigenloc.eigensolver import _sparsetools\n"
+        "kernel = _sparsetools()\n"
+        "import scipy.sparse\n"
+        "assert scipy.sparse._sparsetools.csr_matvec is kernel.csr_matvec\n"
+    )
+    imported(["-c", probe], tmp_path)
 
 
 def test_every_public_name_resolves_to_its_home_object():

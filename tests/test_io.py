@@ -40,7 +40,7 @@ from eigenloc.errors import (
     NegativeWeight,
     ParseError,
 )
-from helpers import path_graph
+from helpers import path_graph, ref_parse_migration
 
 
 def mm(tmp_path, body, name="g.mtx"):
@@ -203,6 +203,30 @@ def test_parse_labels_headerless_and_duplicates(tmp_path):
     p.write_text("node_id,group_id\n0,1\n0,2\n")
     with pytest.raises(ParseError):
         parse_labels(p, 3)
+
+
+@pytest.mark.parametrize("first", ["+0,1", " +0 ,1", "0.0,1", "1e0,1", "nan,1"])
+def test_numeric_first_row_is_data_not_a_header(tmp_path, first):
+    # line 1 is a header only if float() rejects its first cell; otherwise
+    # it parses, or fails naming its line, as the same row on line 2 does
+    node = first.split(",")[0]
+    parses = node.strip() == "+0"
+    p = tmp_path / "lab.csv"
+    p.write_text(f"{first}\n1,0\n2,1\n")
+    if parses:
+        assert parse_labels(p, 3)[0].tolist() == [1, 0, 1]
+    else:
+        with pytest.raises(ParseError, match=re.escape(f"line 1: bad label row {first.strip()!r}")):
+            parse_labels(p, 3)
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 10\n")
+    pops = tmp_path / "pops.csv"
+    pops.write_text(f"{node},100\n1,50\n")
+    for parse in (parse_migration, ref_parse_migration):
+        if parses:
+            assert parse(flows, pops).pops.tolist() == [100.0, 50.0]
+        else:
+            with pytest.raises(ParseError, match="line 1: bad population row"):
+                parse(flows, pops)
 
 
 def test_migration_round_trip(tmp_path):

@@ -293,15 +293,15 @@ def test_symmetric_csr_matches_scipy_tocsr(g, seed):
     upper = g.weights
     step = np.random.default_rng(seed).integers(-1, 2, upper.size)
     lower = np.nextafter(upper, upper + step)
-    A = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
+    data, indices, indptr = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
     ref = sp.coo_matrix(
         (np.concatenate([upper, lower]),
          (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))),
         shape=(g.n, g.n),
     ).tocsr()
-    assert A.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(A, name), getattr(ref, name)
+    assert indptr.size == ref.shape[0] + 1
+    for name, a in (("indptr", indptr), ("indices", indices), ("data", data)):
+        b = getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
@@ -355,7 +355,7 @@ def test_lanczos_blocks_match_normalized_adjacency(monkeypatch):
     real = eigensolver._lanczos
 
     def spy(A, *args):
-        blocks.append(A.copy())
+        blocks.append((A.indptr.copy(), A.indices.copy(), A.data.copy()))
         return real(A, *args)
 
     monkeypatch.setattr(eigensolver, "_lanczos", spy)
@@ -363,12 +363,30 @@ def test_lanczos_blocks_match_normalized_adjacency(monkeypatch):
     S = normalized_adjacency(g).matrix
     count, labels = csgraph_components(g)
     assert len(blocks) == count == 3
-    for c, block in enumerate(blocks):
+    for c, (indptr, indices, data) in enumerate(blocks):
         members = np.flatnonzero(labels == c)
         ref = S[members][:, members]
-        assert block.has_sorted_indices
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(block, name), getattr(ref, name))
+        assert all((np.diff(indices[a:b]) > 0).all() for a, b in zip(indptr[:-1], indptr[1:]))
+        for name, a in (("indptr", indptr), ("indices", indices), ("data", data)):
+            assert np.array_equal(a, getattr(ref, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_lanczos_operator_products_match_csr_matrix(seed, r):
+    # the solver multiplies by its CSR arrays without scipy.sparse; a vector
+    # and a block, F-ordered or C-ordered, give csr_matrix's product bit for bit
+    from eigenloc.eigensolver import _CSROperator
+
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=120, weighted=True)
+    S = normalized_adjacency(g).matrix
+    A = _CSROperator(g.n, S.data, S.indices, S.indptr)
+    x = rng.standard_normal(g.n)
+    X = np.asfortranarray(rng.standard_normal((g.n, r)))
+    for operand in (x, X, np.ascontiguousarray(X), X[:, :1]):
+        a, b = A @ operand, S @ operand
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
