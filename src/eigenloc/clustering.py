@@ -129,7 +129,8 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     norm = np.linalg.norm(v_r)
     if norm == 0.0:
         raise InputError("vector vanishes on the subset")
-    v_r = _sign_normalize((v_r / norm)[:, None])[:, 0]
+    v_r = v_r / norm
+    _sign_normalize(v_r[:, None])
     basis = spectrum_random_walk(sub, k=2)
     v_local = basis.vectors[:, 1]
     dist = min(

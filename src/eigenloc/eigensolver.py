@@ -95,11 +95,25 @@ class Eigenbasis:
         return flags
 
 
-def _sign_normalize(X: np.ndarray) -> np.ndarray:
-    # largest-|entry| positive; argmax takes the lowest index on ties
+def _sign_normalize(X: np.ndarray) -> None:
+    # largest-|entry| positive, in place; argmax takes the lowest index on ties
     amax = np.argmax(np.abs(X), axis=0)
-    signs = np.where(X[amax, np.arange(X.shape[1])] < 0, -1.0, 1.0)
-    return X * signs
+    X *= np.where(X[amax, np.arange(X.shape[1])] < 0, -1.0, 1.0)
+
+
+def _release_heap() -> None:
+    """Hand the C heap's free pages back to the OS: glibc's malloc_trim(0),
+    a no-op where the C library has none. glibc's mmap threshold rises as
+    large arrays are freed, so the temporaries of parsing and of the CSR
+    build otherwise stay resident underneath the Lanczos basis."""
+    import ctypes
+
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except OSError:
+        return
+    if trim is not None:
+        trim(0)
 
 
 @cache
@@ -175,10 +189,15 @@ def _lanczos(A, m: int, v0: np.ndarray):
     orthogonalized against V. ConvergenceFailure after MAX_RESTARTS
     restarts, naming the first rank (descending) not converged, or when the
     returned vectors are not orthonormal to ORTH_TOL.
+
+    The C heap's free pages go back to the OS just before V is allocated
+    (_release_heap), and V is cut to its first m rows in place at the end;
+    the returned vectors are V's rows, as the columns of V.T.
     """
     n = A.shape[0]
     p = min(n, max(2 * m + 1, 60))
     keep = m + (p - m) // 5
+    _release_heap()
     V = np.empty((p + 1, n))  # V[p] holds the residual direction
     T = np.zeros((p, p))
     V[0] = v0 / np.linalg.norm(v0)
@@ -216,8 +235,8 @@ def _lanczos(A, m: int, v0: np.ndarray):
         converged = np.abs(beta * Q[p - 1, p - m :]) <= LANCZOS_TOL
         r = m if converged.all() else keep
         rotate = np.ascontiguousarray(Q[:, p - r :].T)
-        for a in range(0, n, 2048):
-            V[:r, a : a + 2048] = rotate @ V[:p, a : a + 2048]
+        for a in range(0, n, 1024):  # an r x 1024 temporary at a time
+            V[:r, a : a + 1024] = rotate @ V[:p, a : a + 1024]
         if r == m:
             break
         T[:] = 0.0
@@ -227,7 +246,8 @@ def _lanczos(A, m: int, v0: np.ndarray):
         start = keep
     else:
         raise ConvergenceFailure(int(np.argmin(converged[::-1])))  # the first False, descending
-    Y = np.ascontiguousarray(V[:m].T)
+    V.resize((m, n))  # in place: the rows past m go back to the allocator
+    Y = V.T  # column-major
     off = np.abs(Y.T @ Y - np.eye(m)).max(axis=0)
     if not off.max() <= ORTH_TOL:  # a NaN fails too
         raise ConvergenceFailure(int(np.argmax(~(off[::-1] <= ORTH_TOL))))
@@ -238,13 +258,16 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
     w) come in canonical order, h = 1/sqrt(d) per node, by the route the
     block's size picks, with each pair's residual ||A y - lambda y||; m is
-    k + 1, or n when k >= n - 1."""
+    k + 1, or n when k >= n - 1. On the Lanczos route Y is the basis itself,
+    cut to its first m rows and transposed, and the residuals are taken
+    eight columns at a time."""
     k = m - 1
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
         # the per-edge S values live only while the CSR is built
         csr = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
         A = _CSROperator(n, *csr)
         lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
+        step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
     else:
         A = np.zeros((n, n))
         A[rows, cols], A[cols, rows] = _normalized_edge_values(h, rows, cols, w)
@@ -257,9 +280,13 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
             if m < n:  # only these can enter the merge's top m; keep their order
                 keep = np.sort(np.argsort(-lam, kind="stable")[:m])
                 lam, Y = lam[keep], Y[:, keep]
-    R = A @ Y
-    R -= Y * lam
-    return lam, Y, np.linalg.norm(R, axis=0)
+        step = m  # the n x m temporaries are small beside A
+    resid = np.empty(m)
+    for a in range(0, m, step):
+        R = A @ Y[:, a : a + step]
+        R -= Y[:, a : a + step] * lam[a : a + step]
+        resid[a : a + step] = np.linalg.norm(R, axis=0)
+    return lam, Y, resid
 
 
 def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
@@ -350,7 +377,7 @@ def spectrum_random_walk(
     evals, X = _solve_components(g, m, dense_limit)
     X /= np.sqrt(g.degrees)[:, None]
     X /= np.linalg.norm(X, axis=0, keepdims=True)
-    X = _sign_normalize(X)
+    _sign_normalize(X)
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])
     tail_cut = m > k and clusters[k] == clusters[k - 1]

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .localization import csl
-from .operators import MigrationInput, WeightedGraph
+from .operators import MigrationInput, WeightedGraph, _canonical_pairs, _sorted_distinct
 from .twolevel import (
     ERBead,
     GlobalRandom,
@@ -184,7 +184,8 @@ def _mm_scan(lines: list[str], path):
 
 
 def _mm_bulk(text: str, path):
-    """_mm_entries in one np.loadtxt call, or None when only the line scan can tell."""
+    """_mm_entries in one np.loadtxt call, or None when only the line scan can
+    tell. Each copy of the file's text is dropped once the next is made."""
     start = count = 0
     while True:  # the header, comment lines and the size line
         end = text.find("\n", start)
@@ -198,19 +199,23 @@ def _mm_bulk(text: str, path):
         return None  # a line break other than "\n" in the preamble
     field, symmetry, n, m, size_line = _mm_preamble(lines, path)
     body = text[start:]
-    if m < 1 or body.translate(_PLAIN):
+    del text
+    # one entry on every line, so entry e sits on line size_line + 1 + e
+    if m < 1 or body.translate(_PLAIN) or m != body.count("\n") + (not body.endswith("\n")):
         return None
+    data = body.encode()  # bytes: a StringIO would hold 4 bytes per character
+    del body
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. numpy < 2 reading "1.0" as an integer
         try:
-            # bytes: a StringIO would hold 4 bytes per character
-            rec = np.loadtxt(io.BytesIO(body.encode()), dtype=_ENTRY, comments=None, ndmin=1)
+            rec = np.loadtxt(io.BytesIO(data), dtype=_ENTRY, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-    # one entry on every line, so entry e sits on line size_line + 1 + e
-    if not rec.size == m == body.count("\n") + (not body.endswith("\n")):
+    del data
+    if rec.size != m:  # a blank line
         return None
-    i, j, w = rec["i"] - 1, rec["j"] - 1, rec["w"]
+    i, j, w = rec["i"] - 1, rec["j"] - 1, rec["w"].copy()
+    del rec
     if (
         min(i.min(), j.min()) < 0
         or max(i.max(), j.max()) >= n
@@ -218,18 +223,18 @@ def _mm_bulk(text: str, path):
         or (field == "integer" and not np.array_equal(np.trunc(w), w))
     ):
         return None
-    return n, symmetry, field, np.arange(size_line + 1, size_line + 1 + m), i, j, w
+    return n, symmetry, field, range(size_line + 1, size_line + 1 + m), i, j, w
 
 
 def _mm_entries(path):
-    """-> (n, symmetry, field, line, i, j, w): per-entry arrays, 0-based i, j.
+    """-> (n, symmetry, field, line, i, j, w): per-entry arrays, 0-based i, j,
+    and line[e], the line entry e sits on.
 
     Errors name the first bad line in file order. Valid files are read in
     bulk; anything the bulk read cannot vouch for goes through the line scan,
-    which raises the error or builds the same arrays.
+    which reads the file again and raises the error or builds the same arrays.
     """
-    text = _read_text(path)
-    return _mm_bulk(text, path) or _mm_scan(text.splitlines(), path)
+    return _mm_bulk(_read_text(path), path) or _mm_scan(_read_text(path).splitlines(), path)
 
 
 def _is_number(cell: str) -> bool:
@@ -243,20 +248,23 @@ def _is_number(cell: str) -> bool:
 def _node_rows(path, n: int, widths, columns: str, what: str, parse):
     """Yield (line, node, *values) for each data row of a CSV keyed by node id.
 
-    Blank lines are skipped, and so is a first line whose first cell float()
-    rejects (a header); any other first line is a data row. parse turns a
+    Blank lines are skipped, and so is a first non-blank line whose first
+    cell float() rejects (a header); any other line is a data row. parse turns a
     row's cells into (node, *values) or raises ValueError. A column count
     outside widths, a cell parse rejects, a node outside 0..n-1 or a
     repeated node is a ParseError naming its line.
     """
     seen = np.zeros(n, dtype=bool)
+    first = True
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         s = raw.strip()
         if not s:
             continue
         cells = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not _is_number(cells[0]):
-            continue  # header row
+        if first:
+            first = False
+            if not _is_number(cells[0]):
+                continue  # header row
         if len(cells) not in widths:
             raise ParseError(f"expected {columns}", line=lineno)
         try:
@@ -307,35 +315,43 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
     pair with equal weights; conflicting mirror weights are rejected.
     """
     n, symmetry, _, line, i, j, w = _mm_entries(path)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    order, again = _repeats(lo, hi)
-    conflict = np.zeros_like(again)
-    if symmetry == "symmetric":
-        dup = again
+    lo, hi = _canonical_pairs(i, j)
+    if not (i == j).any() and _sorted_distinct(lo, hi):
+        # each edge once, in canonical order, as write_graph writes them: no
+        # repeat or mirror, so only a negative weight can be wrong
+        if (w < 0).any():
+            e = int(np.argmax(w < 0))
+            raise NegativeWeight(int(lo[e]), int(hi[e]))
     else:
-        # a key's second entry is its mirror (or a duplicate, which wins)
-        dup = _repeats(i, j)[1]
-        ws = w[order]
-        conflict[order[1:]] = ws[1:] != ws[:-1]
-        conflict &= again
-    # the first bad entry in file order, its checks in this order
-    defects = np.stack([i == j, w < 0, dup, conflict])
-    if defects.any():
-        e = int(defects.any(axis=0).argmax())
-        kind = int(defects[:, e].argmax())
-        a, b = int(lo[e]), int(hi[e])
-        if kind == 0:
-            raise ParseError("self-loops are not allowed", line=int(line[e]))
-        if kind == 1:
-            raise NegativeWeight(a, b)
-        if kind == 2:
-            raise DuplicateEdge(a, b) if symmetry == "symmetric" else DuplicateEdge(int(i[e]), int(j[e]))
-        raise ParseError(f"mirrored entries for ({a}, {b}) disagree", line=int(line[e]))
+        order, again = _repeats(lo, hi)
+        conflict = np.zeros_like(again)
+        if symmetry == "symmetric":
+            dup = again
+        else:
+            # a key's second entry is its mirror (or a duplicate, which wins)
+            dup = _repeats(i, j)[1]
+            ws = w[order]
+            conflict[order[1:]] = ws[1:] != ws[:-1]
+            conflict &= again
+        # the first bad entry in file order, its checks in this order
+        defects = np.stack([i == j, w < 0, dup, conflict])
+        if defects.any():
+            e = int(defects.any(axis=0).argmax())
+            kind = int(defects[:, e].argmax())
+            a, b = int(lo[e]), int(hi[e])
+            if kind == 0:
+                raise ParseError("self-loops are not allowed", line=int(line[e]))
+            if kind == 1:
+                raise NegativeWeight(a, b)
+            if kind == 2:
+                raise DuplicateEdge(a, b) if symmetry == "symmetric" else DuplicateEdge(int(i[e]), int(j[e]))
+            raise ParseError(f"mirrored entries for ({a}, {b}) disagree", line=int(line[e]))
+        keep = order[~again[order]]  # each key's first entry, in sorted key order
+        lo, hi, w = lo[keep], hi[keep], w[keep]
     labels = sublabels = None
     if label_path is not None:
         labels, sublabels = parse_labels(label_path, n)
-    keep = order[~again[order]]  # each key's first entry, in sorted key order
-    return WeightedGraph(n, lo[keep], hi[keep], w[keep], labels, sublabels)
+    return WeightedGraph(n, lo, hi, w, labels, sublabels)
 
 
 # ------------------------------------------------------------- migration

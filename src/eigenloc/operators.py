@@ -34,9 +34,12 @@ class WeightedGraph:
     """Undirected weighted graph on nodes 0..n-1.
 
     rows/cols/weights are parallel arrays, one entry per edge, canonically
-    sorted with rows[e] < cols[e]. labels (and sublabels) are None or an
-    int64 array of length n holding each node's group id (>= 0), or -1 for
-    an unlabeled node; generators use them for bead and module membership.
+    sorted with rows[e] < cols[e]. Given edge arrays that are already int64
+    and float64, sorted, distinct and free of zero weights are kept, not
+    copied; given with rows > cols on every edge, they are kept swapped.
+    labels (and sublabels) are None or an int64 array of length n holding
+    each node's group id (>= 0), or -1 for an unlabeled node; generators use
+    them for bead and module membership.
     """
 
     n: int
@@ -64,19 +67,18 @@ class WeightedGraph:
         if np.any(w < 0):
             e = int(np.argmax(w < 0))
             raise NegativeWeight(int(i[e]), int(j[e]))
-        keep = w > 0  # zero-weight edges are simply absent
-        i, j, w = i[keep], j[keep], w[keep]
+        if not w.all():  # zero-weight edges are simply absent
+            keep = w > 0
+            i, j, w = i[keep], j[keep], w[keep]
         if np.any(i == j):
             e = int(np.argmax(i == j))
             raise InputError(f"self-loop on node {int(i[e])}")
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
+        lo, hi = _canonical_pairs(i, j)
         if lo.size and (lo.min() < 0 or hi.max() >= self.n):
             raise InputError("edge endpoint out of range")
         # pairs already strictly increasing (as parse_graph passes them) are
-        # sorted and distinct; anything else is sorted and scanned for repeats
-        step = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
-        if not step.all():
+        # kept as they are; anything else is sorted and scanned for repeats
+        if not _sorted_distinct(lo, hi):
             order = np.lexsort((hi, lo))
             lo, hi, w = lo[order], hi[order], w[order]
             dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
@@ -192,27 +194,44 @@ class MigrationInput:
         return int(self.pops.size)
 
 
+def _canonical_pairs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(minimum(i, j), maximum(i, j)): i and j themselves, not copies, when
+    one lies below the other on every entry."""
+    if (i < j).all():
+        return i, j
+    if (j < i).all():
+        return j, i
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _sorted_distinct(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the pairs (lo[e], hi[e]) strictly increase, so are sorted and distinct."""
+    return bool(((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all())
+
+
 def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components by min-label hooking with pointer jumping.
+    """Connected components of canonical edges (rows < cols) by min-label
+    hooking with pointer jumping.
 
     Each round hooks the larger root of every edge still joining two trees
     under the smaller one, then flattens every tree onto its root, and drops
     the edges now inside one tree. A root only ever takes a smaller label,
-    so each component ends rooted at its lowest node.
+    so each component ends rooted at its lowest node. In the first round
+    every node is its own root, so it hooks cols under rows as they are.
     """
     root = np.arange(n)
-    while rows.size:
-        ri, rj = root[rows], root[cols]
-        split = ri != rj
-        if not split.any():
-            break
-        rows, cols, ri, rj = rows[split], cols[split], ri[split], rj[split]
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+    lo, hi = rows, cols
+    while lo.size:
+        np.minimum.at(root, hi, lo)
         while True:
             up = root[root]
             if np.array_equal(up, root):
                 break
             root = up
+        ri, rj = root[rows], root[cols]
+        split = ri != rj
+        rows, cols, ri, rj = rows[split], cols[split], ri[split], rj[split]
+        lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
     lowest = root == np.arange(n)
     return int(lowest.sum()), (np.cumsum(lowest) - 1)[root]
 

@@ -263,12 +263,14 @@ def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
     pops = np.zeros(n)
     got = np.zeros(n, dtype=bool)
     lines = Path(populations_path).read_text().splitlines()
+    first = True  # the first non-blank line may be a header
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s:
             continue
         toks = [t.strip() for t in s.split(",")]
-        if lineno == 1 and not is_number(toks[0]):
+        header, first = first and not is_number(toks[0]), False
+        if header:
             continue
         if len(toks) != 2:
             raise ParseError("expected node_id,population", line=lineno)

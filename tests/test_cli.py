@@ -321,6 +321,50 @@ def test_analyze_labels_components_once(chain_files, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_heap_release_is_a_no_op_without_malloc_trim(tmp_path, monkeypatch):
+    # 1,200 nodes with k = 20 take the Lanczos route, which hands the freed
+    # heap back once per solve where the C library has malloc_trim; without
+    # one, or without a loadable C library, the report is the same
+    import ctypes
+    import types
+
+    spec = TwoLevelSpec((TwoModuleBead(200, 200, 0.2, 0.02),) * 3, PathRandom(0.01), seed=3)
+    save_spec(spec, tmp_path / "chain.json")
+    graph = tmp_path / "chain.mtx"
+    assert cli.main(["generate", str(tmp_path / "chain.json"), "--out", str(graph)]) == 0
+    calls = []
+    real = eigensolver._release_heap
+
+    def spy():
+        calls.append(1)
+        real()
+
+    monkeypatch.setattr(eigensolver, "_release_heap", spy)
+
+    def report(name):
+        out = tmp_path / name
+        argv = ["analyze", str(graph), "--labels", str(graph.with_suffix(".labels.csv")),
+                "--k", "20", "--ranks", "1,2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    want = report("libc")
+    assert calls == [1]
+    trims = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(malloc_trim=trims.append))
+    assert report("trim-spy") == want
+    assert trims == [0] and calls == [1, 1]
+
+    def no_libc(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert report("no-libc") == want
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert report("no-malloc-trim") == want
+    assert calls == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_disconnected_graph_refused_before_the_solve(tmp_path, capsys, monkeypatch, command):
     # a sweep cut needs a connected graph; the component count is known

@@ -74,11 +74,31 @@ def write_chain(tmp_path, beads: int, size: int):
     assert cli.main(["generate", str(tmp_path / "chain.json"), "--out", str(out)]) == 0
 
 
+SOLVER_PROBE = """
+import json, sys
+from eigenloc import cli, eigensolver
+calls = {"lanczos": 0, "release_heap": 0}
+def spy(name):
+    real = getattr(eigensolver, "_" + name)
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+    setattr(eigensolver, "_" + name, counted)
+for name in calls:
+    spy(name)
+code = cli.main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+with open("probe.json", "w") as f:
+    json.dump({"code": code, "calls": calls, "scipy": scipy}, f)
+"""
+
+
 def test_dense_route_loads_no_scipy_solver(tmp_path):
     # a 400-node chain at k = n takes the full dense route, numpy's eigh on a
     # block filled from the edge list; components and degrees are numpy too.
     # The transition baseline is a median taken without np.median, which
-    # imports numpy.ma
+    # imports numpy.ma. The heap is not trimmed: only a Lanczos solve does
+    # that (numpy imports ctypes itself, so the spy is what shows it)
     write_chain(tmp_path, beads=4, size=50)
     commands = [
         ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "400", "--ranks", "1,2", "--out", "r"],
@@ -86,7 +106,10 @@ def test_dense_route_loads_no_scipy_solver(tmp_path):
         ["sweep", "chain.mtx", "--rank", "1", "--k", "400", "--out", "sweep.json"],
     ]
     for argv in commands:
-        mods = imported(["-m", "eigenloc.cli", *argv], tmp_path)
+        mods = imported(["-c", SOLVER_PROBE, *argv], tmp_path)
+        probe = json.loads((tmp_path / "probe.json").read_text())
+        assert probe["code"] == 0, argv[0]
+        assert probe["calls"] == {"lanczos": 0, "release_heap": 0}, argv[0]
         assert "numpy" in mods and loaded(mods, "scipy") == [], argv[0]
         assert loaded(mods, "numpy.ma") == [], argv[0]
 
@@ -100,30 +123,15 @@ def test_evr_route_loads_scipy_linalg_but_no_sparse(tmp_path):
     assert loaded(mods, "scipy.sparse") == []
 
 
-LANCZOS_PROBE = """
-import json, sys
-from eigenloc import cli, eigensolver
-real, calls = eigensolver._lanczos, []
-def spy(*args):
-    calls.append(1)
-    return real(*args)
-eigensolver._lanczos = spy
-code = cli.main(sys.argv[1:])
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-with open("probe.json", "w") as f:
-    json.dump({"code": code, "calls": len(calls), "scipy": scipy}, f)
-"""
-
-
 def test_lanczos_route_imports_no_scipy_module(tmp_path):
     # 1,200 nodes with k = 20 (k <= n/20) takes the owned Lanczos, whose
     # products run on scipy's compiled CSR kernel loaded from its file: no
     # scipy module is imported or left in sys.modules
     write_chain(tmp_path, beads=3, size=200)
     argv = ["analyze", "chain.mtx", "--labels", "chain.labels.csv", "--k", "20", "--ranks", "1,2", "--out", "r"]
-    mods = imported(["-c", LANCZOS_PROBE, *argv], tmp_path)
+    mods = imported(["-c", SOLVER_PROBE, *argv], tmp_path)
     probe = json.loads((tmp_path / "probe.json").read_text())
-    assert probe["code"] == 0 and probe["calls"] == 1
+    assert probe["code"] == 0 and probe["calls"] == {"lanczos": 1, "release_heap": 1}
     assert loaded(mods, "scipy") == [] and probe["scipy"] == []
 
 

@@ -229,6 +229,45 @@ def test_numeric_first_row_is_data_not_a_header(tmp_path, first):
                 parse(flows, pops)
 
 
+@pytest.mark.parametrize("blank", ["\n", "\n  \n", "\t\n"])
+def test_header_is_the_first_non_blank_line(tmp_path, blank):
+    labels = tmp_path / "lab.csv"
+    labels.write_text(f"{blank}node_id,group_id\n0,1\n1,0\n")
+    assert parse_labels(labels, 2)[0].tolist() == [1, 0]
+    flows = mm(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 10\n")
+    pops = tmp_path / "pops.csv"
+    pops.write_text(f"{blank}node_id,population\n0,100\n1,50\n")
+    for parse in (parse_migration, ref_parse_migration):
+        assert parse(flows, pops).pops.tolist() == [100.0, 50.0]
+    # a later non-numeric row is still a bad row, naming its line
+    labels.write_text(f"{blank}0,1\nnode_id,group_id\n")
+    line = blank.count("\n") + 2
+    with pytest.raises(ParseError, match=f"line {line}: bad label row 'node_id,group_id'"):
+        parse_labels(labels, 2)
+
+
+def test_parse_graph_memory_budget(tmp_path):
+    # a canonical file (every write_graph file is one) is read into the
+    # graph's own arrays: the text once as str and once as bytes, the
+    # loaded entries, then i, j and w; no sort, gathers or line array
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
+    )
+    path = tmp_path / "chain.mtx"
+    write_graph(g, path)
+    parse_graph(path)  # first-call state
+    tracemalloc.start()
+    try:
+        got = parse_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.rows, g.rows) and np.array_equal(got.cols, g.cols)
+    assert np.array_equal(got.weights, g.weights)
+    budget = 80 * g.edge_count
+    assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"
+
+
 def test_migration_round_trip(tmp_path):
     flows = mm(
         tmp_path,

@@ -67,8 +67,9 @@ def _graph(g):
 
 
 def _entries(res):
+    # the bulk read gives the entries' lines as a range, the line scan as an array
     n, symmetry, field, *arrays = res
-    return n, symmetry, field, list(zip(*(a.tolist() for a in arrays)))
+    return n, symmetry, field, list(zip(*(np.asarray(a).tolist() for a in arrays)))
 
 
 INDEX_STYLES = ["{}", "{}", "{}", "+{}", "0{}"]

@@ -426,6 +426,36 @@ def test_degrees_memory_budget():
     assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"
 
 
+def test_components_memory_budget():
+    # the first hooking round reads rows and cols as they are (every node is
+    # its own root): no root gathers, masks or min/max copies of every edge
+    import tracemalloc
+
+    from eigenloc import PathRandom, TwoLevelSpec, TwoModuleBead, generate_bead_chain
+
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
+    )
+    fresh = WeightedGraph(g.n, g.rows, g.cols, g.weights)
+    tracemalloc.start()
+    try:
+        count, labels = fresh.components
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and not labels.any()
+    budget = 40 * g.edge_count + 80 * g.n
+    assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"
+
+
+def test_canonical_edges_are_kept_without_copies():
+    i, j, w = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, 2.0, 3.0])
+    for rows, cols in ((i, j), (j, i)):  # either triangle: the same arrays
+        g = WeightedGraph(3, rows, cols, w)
+        assert np.shares_memory(g.rows, i) and np.shares_memory(g.cols, j)
+        assert np.shares_memory(g.weights, w)
+
+
 def test_single_node_and_star_match_scipy():
     assert_matches_scipy(WeightedGraph(1, [], [], []))
     for center in (0, 500, 999):
