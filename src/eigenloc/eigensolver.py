@@ -246,7 +246,8 @@ def _lanczos(A, m: int, v0: np.ndarray):
         start = keep
     else:
         raise ConvergenceFailure(int(np.argmin(converged[::-1])))  # the first False, descending
-    V.resize((m, n))  # in place: the rows past m go back to the allocator
+    # no view of V is alive (products read it through temporaries); a profiler's frame may hold V
+    V.resize((m, n), refcheck=False)  # in place: the rows past m go back to the allocator
     Y = V.T  # column-major
     off = np.abs(Y.T @ Y - np.eye(m)).max(axis=0)
     if not off.max() <= ORTH_TOL:  # a NaN fails too

@@ -70,7 +70,7 @@ def _read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: not UTF-8 text", line=line) from None
-    # the check saves two full copies of a file without "\r", the usual case
+    # the check saves two scans of a file without "\r", the usual case
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -367,7 +367,7 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
     n, symmetry, field, line, i, j, w = _mm_entries(flows_path)
     if field != "integer":
         raise ParseError("flow matrix must use the integer field", line=1)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    lo, hi = _canonical_pairs(i, j)
     order, again = _repeats(lo, hi)
     # symmetric storage keys a flow by its unordered pair, general by (row, col)
     a, b, dup = (lo, hi, again) if symmetry == "symmetric" else (i, j, _repeats(i, j)[1])

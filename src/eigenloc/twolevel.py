@@ -9,13 +9,13 @@ Randomness contract: everything derives from numpy's default_rng over
 SeedSequence(entropy=seed, spawn_key=...), with one substream per bead
 (spawn_key (0, t)), one per consecutive-bead pair ((1, t)), and one for the
 global coupling ((2, 0)). Appending beads to a chain therefore never changes
-the edges of earlier beads, and generate_er(n, p, seed) draws the identical
-edge set as bead 0 of any chain with the same seed.
+the edges of earlier beads, and generate_er and generate_two_module, being
+one-bead chains, draw the edge set of bead 0 of any chain with the same seed.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -167,19 +167,16 @@ def _bead_pairs(rng, bead: Bead, nodes: np.ndarray):
 
 def generate_er(n: int, p: float, seed: int) -> WeightedGraph:
     """ER graph: each pair present independently with probability p, unit weight."""
-    bead = ERBead(n, p)
-    i, j = _bead_pairs(_stream(seed, (0, 0)), bead, np.arange(n))
-    return WeightedGraph(n, i, j, np.ones(i.size))
+    g = generate_bead_chain(TwoLevelSpec((ERBead(n, p),), PathRandom(0.0), seed))
+    return replace(g, labels=None)
 
 
 def generate_two_module(
     n1: int, n2: int, p1: float, p2: float, seed: int
 ) -> WeightedGraph:
     """Planted 2-module; labels record module membership (0 or 1)."""
-    bead = TwoModuleBead(n1, n2, p1, p2)
-    n = bead.size
-    i, j = _bead_pairs(_stream(seed, (0, 0)), bead, np.arange(n))
-    return WeightedGraph(n, i, j, np.ones(i.size), np.repeat([0, 1], [n1, n2]))
+    g = generate_bead_chain(TwoLevelSpec((TwoModuleBead(n1, n2, p1, p2),), PathRandom(0.0), seed))
+    return replace(g, labels=g.sublabels, sublabels=None)
 
 
 def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
@@ -224,7 +221,7 @@ def generate_bead_chain(spec: TwoLevelSpec) -> WeightedGraph:
 def tensor_block(k: int, w: WeightedGraph) -> WeightedGraph:
     """k disjoint copies of w; labels record the copy index.
 
-    If w carries labels of its own they land in sublabels, shifted per copy.
+    If w carries labels of its own they land in sublabels, the same in every copy.
     """
     if k < 1:
         raise InputError("k must be >= 1")

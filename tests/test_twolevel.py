@@ -109,6 +109,14 @@ def test_er_matches_bead_zero_stream():
     assert bead_edges(chain, spec.beads, 0) == set(alone_edges)
 
 
+def test_generators_refuse_negative_seed():
+    # the one-bead chain's spec check, not numpy's bare ValueError
+    with pytest.raises(InputError, match="seed -1 is negative"):
+        generate_er(5, 0.5, -1)
+    with pytest.raises(InputError, match="seed -2 is negative"):
+        generate_two_module(3, 3, 0.5, 0.1, -2)
+
+
 def test_identity_coupling_edges():
     beads = (ERBead(6, 0.5), ERBead(6, 0.5))
     chain = generate_bead_chain(TwoLevelSpec(beads, PathIdentity(0.1), seed=2))
