@@ -130,7 +130,7 @@ def restrict_and_compare(v_full, subset, g: WeightedGraph):
     if norm == 0.0:
         raise InputError("vector vanishes on the subset")
     v_r = v_r / norm
-    _sign_normalize(v_r[:, None])
+    _sign_normalize(v_r)
     basis = spectrum_random_walk(sub, k=2)
     v_local = basis.vectors[:, 1]
     dist = min(

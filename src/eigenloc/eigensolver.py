@@ -19,9 +19,8 @@ from .errors import AllZeroSpectrum, ConvergenceFailure, InputError
 from .operators import (
     DENSE_LIMIT,
     WeightedGraph,
-    _normalized_edge_values,
+    _normalized_csr,
     _require_positive_degrees,
-    _symmetric_csr,
 )
 
 # bound on ||S y - lambda y|| for a unit y; ||S||_2 = 1, so this is a
@@ -95,10 +94,10 @@ class Eigenbasis:
         return flags
 
 
-def _sign_normalize(X: np.ndarray) -> None:
+def _sign_normalize(x: np.ndarray) -> None:
     # largest-|entry| positive, in place; argmax takes the lowest index on ties
-    amax = np.argmax(np.abs(X), axis=0)
-    X *= np.where(X[amax, np.arange(X.shape[1])] < 0, -1.0, 1.0)
+    if x[np.argmax(np.abs(x))] < 0:
+        x *= -1.0
 
 
 def _release_heap() -> None:
@@ -144,7 +143,7 @@ def _sparsetools():
 
 
 class _CSROperator:
-    """The n x n float64 CSR matrix (data, indices, indptr) as _symmetric_csr
+    """The n x n float64 CSR matrix (data, indices, indptr) as _normalized_csr
     returns it, for _lanczos and the residual check.
 
     A @ x is the product scipy's csr_matrix computes: csr_matvec for a
@@ -259,19 +258,20 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
     w) come in canonical order, h = 1/sqrt(d) per node, by the route the
     block's size picks, with each pair's residual ||A y - lambda y||; m is
-    k + 1, or n when k >= n - 1. On the Lanczos route Y is the basis itself,
-    cut to its first m rows and transposed, and the residuals are taken
-    eight columns at a time."""
+    k + 1, or n when k >= n - 1. Every route builds S's CSR; the dense
+    routes scatter it into their n x n block. On the Lanczos route Y is the
+    basis itself, cut to its first m rows and transposed, and the residuals
+    are taken eight columns at a time."""
     k = m - 1
+    data, indices, indptr = _normalized_csr(n, rows, cols, w, h)
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
-        # the per-edge S values live only while the CSR is built
-        csr = _symmetric_csr(n, rows, cols, *_normalized_edge_values(h, rows, cols, w))
-        A = _CSROperator(n, *csr)
+        A = _CSROperator(n, data, indices, indptr)
         lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
         step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
     else:
         A = np.zeros((n, n))
-        A[rows, cols], A[cols, rows] = _normalized_edge_values(h, rows, cols, w)
+        A[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        del data, indices, indptr  # freed before LAPACK allocates its workspace
         if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
             import scipy.linalg as sla
 
@@ -377,8 +377,9 @@ def spectrum_random_walk(
     m = min(k + 1, n)
     evals, X = _solve_components(g, m, dense_limit)
     X /= np.sqrt(g.degrees)[:, None]
-    X /= np.linalg.norm(X, axis=0, keepdims=True)
-    _sign_normalize(X)
+    for x in X.T:  # a column at a time: no n x m temporaries
+        x /= np.sqrt(np.add.reduce(x * x))  # bitwise norm(X, axis=0) on a column-major X
+        _sign_normalize(x)
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])
     tail_cut = m > k and clusters[k] == clusters[k - 1]

@@ -2,8 +2,10 @@
 
 A WeightedGraph stores an undirected edge set (i < j, positive weights) plus
 optional per-node group labels. Degrees and component labels come straight
-from the edge arrays with numpy; the public operators are scipy CSR matrices,
-built on the CSR arrays the solver uses without scipy.
+from the edge arrays with numpy. laplacian, random_walk and
+normalized_adjacency return an OperatorMatrix whose .matrix is a scipy CSR
+matrix; normalized_adjacency's is built on the CSR arrays the solver uses
+without scipy.
 """
 from __future__ import annotations
 
@@ -116,7 +118,7 @@ class WeightedGraph:
         """Symmetric weighted adjacency, CSR."""
         import scipy.sparse as sp
 
-        csr = _symmetric_csr(self.n, self.rows, self.cols, self.weights, self.weights)
+        csr = _symmetric_csr(self.n, self.rows, self.cols, self.weights)
         return sp.csr_matrix(csr, shape=(self.n, self.n))
 
     @cached_property
@@ -124,22 +126,12 @@ class WeightedGraph:
         """Weighted degree per node, bitwise equal to adjacency.sum(axis=1).
 
         That row sum is numpy's add.reduceat over each CSR row, lower
-        neighbours first, each side ascending, pairwise beyond 8 terms;
-        this makes the same call on the same sequence of weights, placed in
-        each row's slots as _symmetric_csr places them but without index
-        arrays: one stable argsort of cols orders the lower weights, and a
-        boolean mask of the lower slots splits the two sides.
+        neighbours first, each side ascending, pairwise beyond 8 terms; this
+        makes the same call on the same weights in _row_order's CSR order,
+        without index arrays.
         """
-        below = np.bincount(self.cols, minlength=self.n)
-        above = np.bincount(self.rows, minlength=self.n)
-        lower = self.weights[np.argsort(self.cols, kind="stable")]
-        # True on the lower slots of each row, then False on its upper ones
-        is_lower = np.repeat(np.tile([True, False], self.n), np.column_stack([below, above]).ravel())
-        w = np.empty(2 * self.rows.size)
-        w[is_lower] = lower
-        del lower
-        w[~is_lower] = self.weights  # upper weights in edge order: by row, then ascending
-        count = below + above
+        count = np.bincount(self.rows, minlength=self.n) + np.bincount(self.cols, minlength=self.n)
+        w = _row_order(self.n, self.rows, self.cols, self.weights, self.weights)
         d = np.zeros(self.n)
         has = count > 0
         d[has] = np.add.reduceat(w, (np.cumsum(count) - count)[has])
@@ -236,38 +228,54 @@ def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, 
     return int(lowest.sum()), (np.cumsum(lowest) - 1)[root]
 
 
-def _symmetric_csr(n: int, rows, cols, upper, lower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(data, indices, indptr) of the n x n CSR matrix holding upper[e] at
-    (rows[e], cols[e]) and lower[e] at (cols[e], rows[e]), column indices
-    sorted within each row, for edges in canonical order (rows < cols,
-    sorted by (rows, cols)).
+def _row_order(n: int, rows, cols, upper, lower) -> np.ndarray:
+    """The 2E entries of the n x n CSR matrix holding upper[e] at (rows[e],
+    cols[e]) and lower[e] at (cols[e], rows[e]), in CSR row order with column
+    indices sorted within each row, for edges in canonical order (rows <
+    cols, sorted by (rows, cols)).
 
     Row i holds its lower entries (edges with cols[e] == i) and then its
-    upper ones (rows[e] == i), each in edge order, so sorted. Every entry is
-    written once into preallocated arrays: the same arrays and index dtype
-    as scipy's coo_matrix(...).tocsr(), without its 2E-long coordinates.
-    The public builders wrap them in a scipy csr_matrix; the solver reads
-    them as they are, without importing scipy.sparse.
+    upper ones (rows[e] == i), each in edge order, so sorted: one stable
+    argsort of cols orders the lower entries, and a boolean mask of each
+    row's lower slots places both sides.
     """
-    below = np.bincount(cols, minlength=n)  # lower-triangle entries per row
+    lower = lower[np.argsort(cols, kind="stable")]
+    below = np.bincount(cols, minlength=n)
     above = np.bincount(rows, minlength=n)
+    # True on the lower slots of each row, then False on its upper ones
+    is_lower = np.repeat(np.tile([True, False], n), np.column_stack([below, above]).ravel())
+    out = np.empty(2 * rows.size, dtype=upper.dtype)
+    out[is_lower] = lower
+    del lower
+    out[~is_lower] = upper
+    return out
+
+
+def _symmetric_csr(n: int, rows, cols, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of the symmetric n x n CSR matrix holding w[e]
+    at (rows[e], cols[e]) and (cols[e], rows[e]), laid out by _row_order for
+    edges in canonical order: the same arrays and index dtype as scipy's
+    coo_matrix(...).tocsr(), without its 2E-long coordinates. The public
+    builders wrap them in a scipy csr_matrix; the solver reads them as they
+    are, without importing scipy.sparse.
+    """
     nnz = 2 * rows.size
     index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(below + above, out=indptr[1:])
-    indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz)
-    # upper entry e follows edges 0..e-1 and every lower entry of rows <= rows[e]
-    pos = np.arange(rows.size)
-    pos += np.cumsum(below)[rows]
-    indices[pos] = cols
-    data[pos] = upper
-    # lower entry e follows the lower entries before it in the stable order
-    # by cols and every upper entry of rows < cols[e]
-    pos[np.argsort(cols, kind="stable")] = np.arange(rows.size)
-    pos += (np.cumsum(above) - above)[cols]
-    indices[pos] = rows
-    data[pos] = lower
+    np.cumsum(np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n), out=indptr[1:])
+    data = _row_order(n, rows, cols, w, w)  # before the indices: a lower peak RSS
+    indices = _row_order(n, rows, cols, cols.astype(index), rows.astype(index))
+    return data, indices, indptr
+
+
+def _normalized_csr(n: int, rows, cols, w, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of S = D^(-1/2) W D^(-1/2), with h = 1/sqrt(d):
+    W's CSR with each entry scaled to (h_i w) h_j, the products
+    diag(h) @ W @ diag(h) forms in that order, so the two triangles can
+    differ in the last bit just as in that product."""
+    data, indices, indptr = _symmetric_csr(n, rows, cols, w)
+    data *= np.repeat(h, np.diff(indptr))
+    data *= h[indices]
     return data, indices, indptr
 
 
@@ -303,30 +311,12 @@ def random_walk(g: WeightedGraph) -> OperatorMatrix:
     return OperatorMatrix(P.tocsr())
 
 
-def _normalized_edge_values(h: np.ndarray, rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of S = D^(-1/2) W D^(-1/2) per edge e, with h = 1/sqrt(d):
-    (upper, lower), S at (rows[e], cols[e]) and at (cols[e], rows[e]).
-
-    They are (h_i w) h_j and (h_j w) h_i, the products diag(h) @ W @ diag(h)
-    forms in that order, so the two triangles can differ in the last bit
-    just as in that product.
-    """
-    upper = h[rows]
-    upper *= w
-    upper *= h[cols]
-    lower = h[cols]
-    lower *= w
-    lower *= h[rows]
-    return upper, lower
-
-
 def normalized_adjacency(g: WeightedGraph) -> OperatorMatrix:
     """S = D^(-1/2) W D^(-1/2); symmetric, similar to the random-walk operator."""
     import scipy.sparse as sp
 
     h = 1.0 / np.sqrt(_require_positive_degrees(g))
-    upper, lower = _normalized_edge_values(h, g.rows, g.cols, g.weights)
-    csr = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
+    csr = _normalized_csr(g.n, g.rows, g.cols, g.weights, h)
     return OperatorMatrix(sp.csr_matrix(csr, shape=(g.n, g.n)))
 
 

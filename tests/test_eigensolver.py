@@ -591,3 +591,23 @@ def test_lanczos_route_memory_budget(k):
         tracemalloc.stop()
     budget = 8 * g.n * (p + 1 + m) + 36 * g.edge_count
     assert peak <= budget, f"peak {peak} B, budget {budget} B (E = {g.edge_count})"
+
+
+def test_post_solve_memory_budget(monkeypatch):
+    # rescaling, normalizing and sign-fixing the solved vectors goes a column
+    # at a time: no n x m temporary (2.4 MB here) beside the vectors
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(150, 150, 0.2, 0.02),) * 10, PathRandom(0.01), seed=3)
+    )
+    assert g.n == 3000
+    solved = eigensolver._solve_components(g, 101, eigensolver.DENSE_LIMIT)
+    ref = spectrum_random_walk(g, 100)
+    monkeypatch.setattr(eigensolver, "_solve_components", lambda *args: solved)
+    tracemalloc.start()
+    try:
+        basis = spectrum_random_walk(g, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.vectors.tobytes() == ref.vectors.tobytes()
+    assert peak <= 64 * g.n, f"peak {peak} B, budget {64 * g.n} B"

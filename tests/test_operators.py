@@ -283,26 +283,46 @@ def test_components_and_degrees_match_scipy(g):
 @example(WeightedGraph(7, [], [], []), 0)
 @example(WeightedGraph(7, [0, 2, 2], [6, 3, 5], [1.0, 2.0, 3.0]), 1)  # isolated 1 and 4
 def test_symmetric_csr_matches_scipy_tocsr(g, seed):
-    # built in place from the canonical edge order, the CSR must equal
-    # scipy's COO conversion of both triangles array for array, index dtype
-    # included, with the lower triangle off by an ulp here and there
+    # laid out from the canonical edge order, the CSR must equal scipy's COO
+    # conversion of both triangles array for array, index dtype included;
+    # _row_order must place a lower triangle off by an ulp here and there
+    # in the slots of scipy's data
     import scipy.sparse as sp
 
-    from eigenloc.operators import _symmetric_csr
+    from eigenloc.operators import _row_order, _symmetric_csr
 
     upper = g.weights
     step = np.random.default_rng(seed).integers(-1, 2, upper.size)
     lower = np.nextafter(upper, upper + step)
-    data, indices, indptr = _symmetric_csr(g.n, g.rows, g.cols, upper, lower)
     ref = sp.coo_matrix(
         (np.concatenate([upper, lower]),
          (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))),
         shape=(g.n, g.n),
     ).tocsr()
+    placed = _row_order(g.n, g.rows, g.cols, upper, lower)
+    assert placed.dtype == ref.data.dtype and placed.tobytes() == ref.data.tobytes()
+    data, indices, indptr = _symmetric_csr(g.n, g.rows, g.cols, upper)
     assert indptr.size == ref.shape[0] + 1
-    for name, a in (("indptr", indptr), ("indices", indices), ("data", data)):
+    for name, a in (("indptr", indptr), ("indices", indices)):
         b = getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert data.tobytes() == _row_order(g.n, g.rows, g.cols, upper, upper).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests_of_components())
+def test_normalized_adjacency_is_diag_h_w_diag_h(g):
+    # S is W's CSR scaled to (h_i w) h_j in every slot: scipy's
+    # diags(h) @ W @ diags(h) entry for entry, on non-integer weights
+    import scipy.sparse as sp
+
+    linked = np.flatnonzero(g.degrees > 0)
+    if linked.size == 0:
+        return
+    g = g.subgraph(linked)
+    h = 1.0 / np.sqrt(g.degrees)
+    ref = (sp.diags(h) @ g.adjacency @ sp.diags(h)).toarray()
+    assert np.array_equal(normalized_adjacency(g).matrix.toarray(), ref)
 
 
 @settings(max_examples=60, deadline=None)
