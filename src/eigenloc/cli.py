@@ -26,7 +26,8 @@ def _emit_text(text: str, out: str | None):
 
 def _basis(args, g):
     """Top-k eigenbasis for a command: --k, else min(n, DEFAULT_K) widened to
-    cover --rank. --k, --rank, --window and --tau are checked before the solve."""
+    cover --rank. --k, --rank, --window (also against the k-entry IPR curve)
+    and --tau are checked before the solve."""
     from .clustering import _check_transition_args
     from .diagnostics import DEFAULT_K
     from .eigensolver import _check_k, spectrum_random_walk
@@ -37,7 +38,7 @@ def _basis(args, g):
     if rank is not None and not 0 <= rank < k:
         raise InputError(f"rank {rank} outside computed range 0..{k - 1}")
     if hasattr(args, "window"):  # transition
-        _check_transition_args(args.window, args.tau)
+        _check_transition_args(args.window, args.tau, k)
     return spectrum_random_walk(g, k)
 
 

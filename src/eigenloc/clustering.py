@@ -70,7 +70,7 @@ def sweep_cut(v, g: WeightedGraph) -> Partition:
         raise InputError("sweep cut needs at least 2 nodes")
     _require_connected(g)
 
-    order = np.lexsort((np.arange(n), -v))
+    order = np.argsort(-v, kind="stable")
     pos = np.argsort(order)  # the sort position of each node
     # an edge is cut exactly by the prefixes that hold its first endpoint
     # in sort order but not its second: t = lo .. hi-1
@@ -147,12 +147,16 @@ def _median(values: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
-def _check_transition_args(window: int, factor: float) -> None:
-    """detect_transition's checks, which callers make before they solve."""
+def _check_transition_args(window: int, factor: float, size: int | None = None) -> None:
+    """detect_transition's checks, which callers make before they solve; the
+    curve's length is checked when a size is given (analyze passes none and
+    reports no transition on a short curve)."""
     if window < 1:
         raise InputError("window must be >= 1")
     if not 1 < factor < np.inf:  # <= 1 fires on every curve; JSON has no nan or inf
         raise InputError(f"factor must be > 1 and finite, got {factor}")
+    if size is not None and size < window + 1:
+        raise CurveTooShort(f"curve has {size} entries; need at least {window + 1}")
 
 
 def detect_transition(curve, window: int = 10, factor: float = 5.0) -> TransitionReport:
@@ -163,14 +167,15 @@ def detect_transition(curve, window: int = 10, factor: float = 5.0) -> Transitio
     preceding ranks). The minimum anchors the floor at the flattest preceding
     eigenvector; on a connected graph rank 0 scores exactly 1/n, so factor
     reads "localized on <= 1/factor of the nodes". The median of the same
-    window is reported as the baseline level.
+    window is reported as the baseline level. Every entry must be finite and
+    > 0, as an IPR in [1/n, 1] is; anything else is an InputError.
     """
-    _check_transition_args(window, factor)
     values = np.asarray(curve, dtype=np.float64)
-    if values.size < window + 1:
-        raise CurveTooShort(
-            f"curve has {values.size} entries; need at least {window + 1}"
-        )
+    _check_transition_args(window, factor, values.size)
+    bad = ~((values > 0) & (values < np.inf))  # a NaN fails too
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise InputError(f"curve entry {j} is {values[j]}; an IPR is finite and > 0")
     for j in range(2, values.size):
         ref = values[max(0, j - window) : j]
         floor = float(ref.min())

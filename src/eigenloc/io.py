@@ -100,7 +100,16 @@ def write_labels(g: WeightedGraph, path) -> None:
     Path(path).write_text(text)
 
 
-def _mm_header(lines: list[str], path) -> tuple[str, str]:
+def _blank_or_comment(line: str) -> bool:
+    s = line.strip()
+    return not s or s.startswith("%")
+
+
+_INDEX_MAX = int(np.iinfo(np.int64).max)  # node and group ids are stored as int64
+
+
+def _mm_preamble(lines: list[str], path):
+    """Header and size line -> (field, symmetry, n, m, line number of the size line)."""
     if not lines:
         raise ParseError(f"{path}: empty file", line=1)
     head = lines[0].split()
@@ -113,20 +122,6 @@ def _mm_header(lines: list[str], path) -> tuple[str, str]:
         raise ParseError(f"unsupported field type {field}", line=1)
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry}", line=1)
-    return field, symmetry
-
-
-def _blank_or_comment(line: str) -> bool:
-    s = line.strip()
-    return not s or s.startswith("%")
-
-
-_INDEX_MAX = int(np.iinfo(np.int64).max)  # node and group ids are stored as int64
-
-
-def _mm_preamble(lines: list[str], path):
-    """Header and size line -> (field, symmetry, n, m, line number of the size line)."""
-    field, symmetry = _mm_header(lines, path)
     for lineno, raw in enumerate(lines[1:], start=2):
         if _blank_or_comment(raw):
             continue
@@ -237,14 +232,6 @@ def _mm_entries(path):
     return _mm_bulk(_read_text(path), path) or _mm_scan(_read_text(path).splitlines(), path)
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def _node_rows(path, n: int, widths, columns: str, what: str, parse):
     """Yield (line, node, *values) for each data row of a CSV keyed by node id.
 
@@ -263,7 +250,9 @@ def _node_rows(path, n: int, widths, columns: str, what: str, parse):
         cells = [t.strip() for t in s.split(",")]
         if first:
             first = False
-            if not _is_number(cells[0]):
+            try:
+                float(cells[0])
+            except ValueError:
                 continue  # header row
         if len(cells) not in widths:
             raise ParseError(f"expected {columns}", line=lineno)
@@ -498,7 +487,8 @@ def save_spec(spec: TwoLevelSpec, path) -> None:
 
 def _json_text(obj) -> str:
     """JSON with insertion-ordered keys and floats at 17 significant digits,
-    always with a decimal point or an exponent (5.0, not 5)."""
+    always with a decimal point or an exponent (5.0, not 5). JSON has no nan
+    or inf: a non-finite float is a ValueError."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -506,6 +496,8 @@ def _json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize {obj} as JSON")
         text = "%.17g" % obj
         return text + ".0" if text.lstrip("-").isdigit() else text
     if isinstance(obj, str):

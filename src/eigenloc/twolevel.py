@@ -149,9 +149,8 @@ def _er_pairs(rng, nodes: np.ndarray, p: float):
 
 
 def _bipartite_pairs(rng, a: np.ndarray, b: np.ndarray, p: float):
-    A, B = np.meshgrid(a, b, indexing="ij")
-    mask = rng.random(A.shape) < p
-    return A[mask], B[mask]
+    ia, ib = np.nonzero(rng.random((a.size, b.size)) < p)
+    return a[ia], b[ib]
 
 
 def _bead_pairs(rng, bead: Bead, nodes: np.ndarray):

@@ -523,6 +523,10 @@ BAD_ARGUMENTS = [
     (["analyze", "--bins", "0"], "nbins must be >= 1"),
     (["transition", "--window", "0"], "window must be >= 1"),
     (["transition", "--tau", "0.5"], "factor must be > 1 and finite, got 0.5"),
+    # the IPR curve has k entries, so the window is checked against k, not after the solve
+    (["transition", "--k", "6", "--window", "6"], "curve has 6 entries; need at least 7"),
+    (["transition"], "curve has 6 entries; need at least 11"),
+    (["analyze", "--ranks", "1,x"], "cannot parse rank list '1,x'"),
     (["csl", "--rank", "-1"], "rank -1 outside computed range 0..5"),
     (["sweep", "--rank", "-1"], "rank -1 outside computed range 0..5"),
     (["compare-restriction", "--rank", "-1"], "rank -1 outside computed range 0..5"),
@@ -559,6 +563,13 @@ def test_bad_arguments_refused_before_the_solve(tmp_path, capsys, monkeypatch, a
     assert captured.err == f"error: {message}\n"
     assert calls == []
     assert not out.exists()
+
+
+def test_compare_restriction_without_labels_exits_2(tmp_path, capsys):
+    graph = tmp_path / "g.mtx"
+    write_graph(path_graph(6), graph)
+    assert cli.main(["compare-restriction", str(graph), "--rank", "1", "--group", "0"]) == 2
+    assert capsys.readouterr().err == "error: compare-restriction needs a label sidecar (--labels)\n"
 
 
 def test_compare_restriction_negative_group_exits_2(tmp_path, capsys):

@@ -154,6 +154,22 @@ def test_sweep_size_mismatch():
         sweep_cut(np.ones(3), path_graph(4))
 
 
+def test_sweep_needs_two_nodes():
+    with pytest.raises(InputError, match="sweep cut needs at least 2 nodes"):
+        sweep_cut(np.ones(1), path_graph(1))
+
+
+@pytest.mark.parametrize("v", [[3.0, -0.0, 0.0, 3.0, np.nan, -1.0, np.nan, 0.0], [1.0] * 6, [-np.inf, 2.0, np.inf]])
+def test_sweep_order_breaks_ties_by_index(v):
+    # equal entries (0.0 and -0.0 included) keep index order and NaNs come
+    # last, as in the reference's lexsort
+    rng = np.random.default_rng(3)
+    A = np.triu(rng.random((len(v), len(v))), 1)
+    g = graph_from_dense(A + A.T)
+    side, _ = ref_sweep_cut(v, g)
+    assert np.array_equal(sweep_cut(v, g).side, side)
+
+
 def test_sign_cut_examples():
     part = sign_cut(np.array([1.0, -1.0]))
     assert part.conductance is None
@@ -208,6 +224,11 @@ def test_restriction_errors():
         restrict_and_compare(v, [0], g)
     with pytest.raises(DisconnectedSubgraph):
         restrict_and_compare(v, [0, 5], g)
+    with pytest.raises(SizeMismatch, match="vector length 5 != node count 6"):
+        restrict_and_compare(v[:5], [0, 1, 2], g)
+    vanishing = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(InputError, match="vector vanishes on the subset"):
+        restrict_and_compare(vanishing, [0, 1, 2], g)
 
 
 def fake_curve(values):
@@ -274,6 +295,24 @@ def test_detect_transition_parameter_validation():
     for factor in (0.5, 1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="factor must be > 1"):
             detect_transition(curve, factor=factor)
+
+
+@pytest.mark.parametrize(
+    "curve, entry",
+    [
+        ([0.0] * 12, 0),
+        ([0.1, 0.0, 0.5] + [0.1] * 9, 1),
+        ([-1.0] + [0.1] * 11, 0),
+        ([0.1] * 11 + [np.nan], 11),
+        ([0.1] * 5 + [np.inf] + [0.1] * 6, 5),
+    ],
+    ids=["zeros", "zero_floor", "negative", "nan", "inf"],
+)
+def test_detect_transition_rejects_junk_curves(curve, entry):
+    # an IPR lies in [1/n, 1]; a zero floor gave factor nan or inf, and a
+    # negative one fired below the threshold
+    with pytest.raises(InputError, match=f"curve entry {entry} is "):
+        detect_transition(fake_curve(curve))
 
 
 def test_detect_transition_on_real_curve_of_homogeneous_graph():

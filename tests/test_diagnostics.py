@@ -14,7 +14,7 @@ from eigenloc import (
     spectrum_random_walk,
     tensor_block,
 )
-from eigenloc.errors import InputError, MissingLabels
+from eigenloc.errors import InputError, MissingLabels, SizeMismatch
 from helpers import complete_graph, path_graph, random_connected_graph
 
 
@@ -93,6 +93,8 @@ def test_group_mass_table_requires_complete_labels():
         group_mass_table(basis, None)
     with pytest.raises(MissingLabels, match="node 2 has no label"):
         group_mass_table(basis, np.array([0, 0, -1, -1]))
+    with pytest.raises(SizeMismatch, match="3 labels for 4 nodes"):
+        group_mass_table(basis, np.array([0, 0, 1]))
 
 
 def test_analyze_permutation_invariance():

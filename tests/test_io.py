@@ -12,6 +12,7 @@ from eigenloc import (
     GlobalRandom,
     PathIdentity,
     PathRandom,
+    TransitionReport,
     TwoLevelSpec,
     TwoModuleBead,
     analyze,
@@ -121,6 +122,24 @@ def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_graph(mm(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n"))
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n", 1,
+         "unsupported symmetry skew-symmetric"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n% size next\n2 2 x\n2 1 1.0\n", 3,
+         "non-integer size line"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n", 2, "empty matrix"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n% only a comment\n", 2, "missing size line"),
+    ],
+    ids=["skew_symmetric", "non_integer_size", "size_zero", "no_size_line"],
+)
+def test_bad_preamble_names_its_line(tmp_path, body, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_graph(mm(tmp_path, body))
+    assert exc.value.line == line
 
 
 def test_general_storage_rules(tmp_path):
@@ -647,3 +666,15 @@ def test_report_is_complete_when_a_writer_process_dies(tmp_path, monkeypatch):
         assert p.read_bytes() == (tmp_path / "died" / p.name).read_bytes(), p.name
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_json_text_refuses_what_json_cannot_spell():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        eio._json_text({"side": {1, 2}})
+    # nan and inf have no JSON spelling; json.loads would reject the output
+    for value in (float("nan"), np.float64(np.inf), -np.inf):
+        with pytest.raises(ValueError, match="cannot serialize"):
+            eio._json_text({"factor": [value]})
+    report = TransitionReport(2, 0.0, float("inf"))
+    with pytest.raises(ValueError):
+        eio.transition_json(report, 10, 5.0)

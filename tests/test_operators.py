@@ -148,6 +148,13 @@ def test_graph_rejects_out_of_range():
         WeightedGraph.from_edges(2, [(0, 2, 1.0)])
 
 
+def test_graph_rejects_zero_nodes_and_subgraph_out_of_range():
+    with pytest.raises(InputError, match="graph needs at least one node"):
+        WeightedGraph(0, [], [], [])
+    with pytest.raises(InputError, match="subgraph node out of range"):
+        path_graph(4).subgraph([1, 4])
+
+
 def test_graph_drops_zero_weights():
     g = WeightedGraph.from_edges(3, [(0, 1, 0.0), (1, 2, 2.0)])
     assert (g.rows.tolist(), g.cols.tolist(), g.weights.tolist()) == ([1], [2], [2.0])

@@ -231,6 +231,10 @@ def test_spec_validation():
         ERBead(5, 1.5)
     with pytest.raises(InputError):
         PathIdentity(0.0)
+    with pytest.raises(InputError, match="edge probability must lie in"):
+        TwoModuleBead(2, 2, 1.5, 0.1)
+    with pytest.raises(InputError, match="coupling probability must lie in"):
+        GlobalRandom(1.5)
     # graphs keep group ids as int64 and reserve -1 for unlabeled nodes
     for label in (-1, 2**63):
         with pytest.raises(InputError):
@@ -238,6 +242,15 @@ def test_spec_validation():
         with pytest.raises(InputError):
             TwoModuleBead(2, 2, 0.5, 0.1, label=label)
     assert ERBead(3, 0.5, label=2**63 - 1).label == 2**63 - 1
+
+
+def test_library_generators_reject_empty_shapes():
+    with pytest.raises(InputError, match="k must be >= 1"):
+        tensor_block(0, complete_graph(3))
+    with pytest.raises(InputError, match="grid dimensions must be >= 1"):
+        generate_grid(0, 3)
+    with pytest.raises(InputError, match="bead too small to define a density"):
+        matched_er_density(1, 0, 0.5, 0.1)
 
 
 def test_spec_rejects_negative_seed():
