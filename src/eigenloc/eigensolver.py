@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -67,6 +67,9 @@ class Eigenbasis:
     localization inside such a cluster is basis-dependent, so downstream
     reports flag it. tail_cut is True when the cluster of rank k-1 has
     partners beyond rank k-1 that were solved for but not returned.
+    solves holds one (route, n, m) per connected component, in component
+    order: the route _solve_block took ("lanczos", "evr" or "full"), the
+    component's size and the number of pairs solved for.
     """
 
     lambdas: np.ndarray
@@ -74,6 +77,7 @@ class Eigenbasis:
     gaps: np.ndarray
     clusters: np.ndarray
     tail_cut: bool = False
+    solves: tuple = field(default=(), repr=False)
 
     @property
     def k(self) -> int:
@@ -257,22 +261,23 @@ def _lanczos(A, m: int, v0: np.ndarray):
 def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
     w) come in canonical order, h = 1/sqrt(d) per node, by the route the
-    block's size picks, with each pair's residual ||A y - lambda y||; m is
-    k + 1, or n when k >= n - 1. Every route builds S's CSR; the dense
-    routes scatter it into their n x n block. On the Lanczos route Y is the
-    basis itself, cut to its first m rows and transposed, and the residuals
-    are taken eight columns at a time."""
+    block's size picks, with each pair's residual ||A y - lambda y|| and the
+    solve's (route, n, m); m is k + 1, or n when k >= n - 1. Every route
+    builds S's CSR; the dense routes scatter it into their n x n block. On
+    the Lanczos route Y is the basis itself, cut to its first m rows and
+    transposed, and the residuals are taken eight columns at a time."""
     k = m - 1
     data, indices, indptr = _normalized_csr(n, rows, cols, w, h)
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
-        A = _CSROperator(n, data, indices, indptr)
+        route, A = "lanczos", _CSROperator(n, data, indices, indptr)
         lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
         step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
     else:
         A = np.zeros((n, n))
         A[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
         del data, indices, indptr  # freed before LAPACK allocates its workspace
-        if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n:
+        route = "evr" if m < n and n >= SUBSET_MIN_N and SUBSET_RATIO * k <= n else "full"
+        if route == "evr":
             import scipy.linalg as sla
 
             lam, Y = sla.eigh(A, subset_by_index=[n - m, n - 1], driver="evr")
@@ -287,11 +292,12 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
         R = A @ Y[:, a : a + step]
         R -= Y[:, a : a + step] * lam[a : a + step]
         resid[a : a + step] = np.linalg.norm(R, axis=0)
-    return lam, Y, resid
+    return lam, Y, resid, (route, n, m)
 
 
 def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
-    """Top m eigenpairs of S, descending, one _solve_block per connected component.
+    """Top m eigenpairs of S, descending, and the (route, n, m) of each
+    component's _solve_block, in component order.
 
     A connected graph is one block on the graph's own edge arrays. Otherwise
     each component's edges are cut out of them and renumbered 0..size-1 in
@@ -317,11 +323,11 @@ def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
         _solve_block(b - a, *edges, h[perm[a:b]], min(m, b - a), dense_limit)
         for a, b, edges in zip(bounds[:-1].tolist(), bounds[1:].tolist(), blocks)
     ]
-    evals = np.concatenate([lam for lam, _, _ in parts])
-    comp = np.repeat(np.arange(ncomp), [lam.size for lam, _, _ in parts])
-    col = np.concatenate([np.arange(lam.size) for lam, _, _ in parts])
+    evals = np.concatenate([lam for lam, *_ in parts])
+    comp = np.repeat(np.arange(ncomp), [lam.size for lam, *_ in parts])
+    col = np.concatenate([np.arange(lam.size) for lam, *_ in parts])
     top = np.argsort(-evals, kind="stable")[:m]
-    resid = np.concatenate([r for _, _, r in parts])[top]
+    resid = np.concatenate([r for _, _, r, _ in parts])[top]
     bad = ~(resid <= RESIDUAL_TOL)  # a NaN residual fails too
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -330,7 +336,7 @@ def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
     Y = np.zeros((g.n, top.size), order="F")
     for j, (c, i) in enumerate(zip(comp[top].tolist(), col[top].tolist())):
         Y[perm[bounds[c] : bounds[c + 1]], j] = parts[c][1][:, i]
-    return evals[top], Y
+    return evals[top], Y, tuple(solve for *_, solve in parts)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -375,7 +381,7 @@ def spectrum_random_walk(
         k = n
     _check_k(n, k)
     m = min(k + 1, n)
-    evals, X = _solve_components(g, m, dense_limit)
+    evals, X, solves = _solve_components(g, m, dense_limit)
     X /= np.sqrt(g.degrees)[:, None]
     for x in X.T:  # a column at a time: no n x m temporaries
         x /= np.sqrt(np.add.reduce(x * x))  # bitwise norm(X, axis=0) on a column-major X
@@ -383,7 +389,7 @@ def spectrum_random_walk(
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])
     tail_cut = m > k and clusters[k] == clusters[k - 1]
-    return Eigenbasis(evals[:k], X[:, :k], gaps[: k - 1], clusters[:k], bool(tail_cut))
+    return Eigenbasis(evals[:k], X[:, :k], gaps[: k - 1], clusters[:k], bool(tail_cut), solves)
 
 
 def generalized_laplacian_eigs(

@@ -63,12 +63,13 @@ def _format_rows(template: str, *columns) -> str:
 
 def _read_text(path) -> str:
     """The file as UTF-8 text with universal newlines, as Path.read_text()
-    gives it; a byte sequence that is not UTF-8 is a ParseError on its line."""
+    gives it, less a leading byte order mark; a byte sequence that is not
+    UTF-8 is a ParseError on its line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.start counts from after the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: not UTF-8 text", line=line) from None
     # the check saves two scans of a file without "\r", the usual case
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

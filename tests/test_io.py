@@ -265,6 +265,40 @@ def test_header_is_the_first_non_blank_line(tmp_path, blank):
         parse_labels(labels, 2)
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte order mark, as Excel's "CSV UTF-8" writes it
+
+
+def test_byte_order_mark_does_not_make_the_first_label_row_a_header(tmp_path):
+    # read with the mark, node 0's cell is "\ufeff0", which float() rejects
+    labels = tmp_path / "lab.csv"
+    labels.write_bytes(BOM + b"0,1\n1,0\n2,1\n")
+    assert parse_labels(labels, 3)[0].tolist() == [1, 0, 1]
+    # a byte that is not UTF-8 still names its line, counted in the whole file
+    labels.write_bytes(BOM + b"0,1\n\xe9\n")
+    with pytest.raises(ParseError, match="line 2: .* not UTF-8"):
+        parse_labels(labels, 3)
+
+
+def test_byte_order_mark_before_a_matrix_market_header(tmp_path):
+    plain = tmp_path / "g.mtx"
+    write_graph(path_graph(5), plain)
+    marked = tmp_path / "bom.mtx"
+    marked.write_bytes(BOM + plain.read_bytes())
+    a, b = parse_graph(plain), parse_graph(marked)
+    assert (b.n, b.rows.tolist(), b.cols.tolist(), b.weights.tolist()) == (
+        a.n, a.rows.tolist(), a.cols.tolist(), a.weights.tolist()
+    )
+
+
+def test_byte_order_mark_before_a_spec_json(tmp_path):
+    spec = TwoLevelSpec((TwoModuleBead(5, 6, 0.8, 0.2, label=3), ERBead(4, 0.5)), PathRandom(0.05), 7)
+    plain = tmp_path / "spec.json"
+    save_spec(spec, plain)
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert load_spec(marked) == load_spec(plain) == spec
+
+
 def test_parse_graph_memory_budget(tmp_path):
     # a canonical file (every write_graph file is one) is read into the
     # graph's own arrays: the text once as str and once as bytes, the

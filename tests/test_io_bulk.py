@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -302,19 +301,10 @@ def test_writers_match_reference_full_spectrum(tmp_path):
     _check_writers(g, analyze(g, k=400, sweep_ranks=(1, 2)), tmp_path)
 
 
-def test_writers_match_reference_subset_route(tmp_path, monkeypatch):
+def test_writers_match_reference_subset_route(tmp_path):
     g = _chain(6, 100, 0.002, seed=4)
-    assert g.n == 1200
-    calls = []
-    real = sla.eigh
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("subset_by_index"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "eigh", spy)
     report = analyze(g, k=100, sweep_ranks=(1,))
-    assert calls == [[1099, 1199]]  # n / 20 < k <= n / 8: LAPACK evr on an index range
+    assert report.basis.solves == (("evr", 1200, 101),)  # n / 20 < k <= n / 8
     _check_writers(g, report, tmp_path)
 
 
@@ -323,7 +313,9 @@ def test_writers_match_reference_lanczos_route(tmp_path, monkeypatch):
     monkeypatch.setattr(
         diagnostics, "spectrum_random_walk", functools.partial(spectrum_random_walk, dense_limit=10)
     )
-    _check_writers(g, analyze(g, k=12, sweep_ranks=(2,)), tmp_path)
+    report = analyze(g, k=12, sweep_ranks=(2,))
+    assert report.basis.solves == (("lanczos", 240, 13),)
+    _check_writers(g, report, tmp_path)
 
 
 def test_writers_match_reference_on_special_values(tmp_path):
