@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -120,6 +121,48 @@ def _release_heap() -> None:
 
 
 @cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count (get, set) functions, or None where
+    neither pair is found: scipy-openblas's prefixed names, then OpenBLAS's
+    own ILP64 ones, looked up through numpy.linalg._umath_linalg, which links
+    that OpenBLAS."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        get = getattr(lib, prefix + "get_num_threads64_", None)
+        put = getattr(lib, prefix + "set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _blas_threads(count: int):
+    """Run the block with numpy's BLAS on `count` threads, and give the
+    caller's count back when it ends, also by an exception; nothing changes
+    where _openblas_threads finds no setter."""
+    pair = _openblas_threads()
+    if pair is None:
+        yield
+        return
+    get, put = pair
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@cache
 def _sparsetools():
     """scipy's compiled sparse kernels, scipy.sparse._sparsetools, loaded once
     from its file in the installed scipy package. find_spec("scipy") only
@@ -175,23 +218,37 @@ class _CSROperator:
 
 def _lanczos(A, m: int, v0: np.ndarray):
     """Top m eigenpairs, ascending, of the symmetric n x n CSR operator A with
-    ||A||_2 <= 1, by thick-restart Lanczos with full reorthogonalization
-    (Wu & Simon 2000, SIAM J. Matrix Anal. Appl. 22:602), started from v0.
+    ||A||_2 <= 1, by thick-restart Lanczos (Wu & Simon 2000, SIAM J. Matrix
+    Anal. Appl. 22:602) with partial reorthogonalization (Simon 1984, Math.
+    Comp. 42:115), started from v0.
 
     The basis V holds p = min(n, max(2m+1, 60)) vectors as rows; the floor
     of 60 keeps clustered top spectra, such as a long path's, from
     stalling. Each restart keeps the top keep = m + (p-m)//5 Ritz vectors,
     rotated in place in blocks of rows, plus the residual direction, so T
-    is an arrowhead followed by a tridiagonal. Each step makes one
-    classical Gram-Schmidt pass against V (two GEMVs) and a second pass
-    when beta < 1e-3 ||A v_j|| (cancellation) or, on every later step, once
-    a coefficient outside T's structure has exceeded 1e-12 ||A v_j||: the
-    basis has started to lose orthogonality, and one pass would carry the
-    loss forward. On a breakdown (beta <= LANCZOS_TOL, an invariant
-    subspace) the basis continues from a seeded random vector
-    orthogonalized against V. ConvergenceFailure after MAX_RESTARTS
-    restarts, naming the first rank (descending) not converged, or when the
-    returned vectors are not orthonormal to ORTH_TOL.
+    is an arrowhead followed by a tridiagonal.
+
+    The first step of each cycle (T's arrowhead row) makes a classical
+    Gram-Schmidt pass against V (two GEMVs), and a second when beta <
+    1e-3 ||A v_j||. Every later step takes the three-term recurrence alone
+    and tracks the loss of orthogonality with Simon's omega-recurrence, run
+    on T's rows: beta_j omega_{j+1} = T[:j, :j+1] omega_j - alpha_j omega_j
+    - beta_{j-1} omega_{j-1}, taken in absolute value with eps sqrt(n) of
+    rounding per step, so it bounds |V[:j+1] . v_{j+1}|. It restarts at
+    1e-10 after a thick restart, the level the rotated basis keeps. When
+    the bound passes 1e-10, or on cancellation (beta < 1e-3 ||A v_j||), v_j
+    is reorthogonalized against V[:j] and w against V[:j+1]: about half a
+    full-basis pass per step on the 4,000- and 10,000-node bead chains.
+
+    On a breakdown (beta <= LANCZOS_TOL, an invariant subspace) the basis
+    continues from a seeded random vector orthogonalized against V, and
+    every later step of the solve makes the full pass, with a second one
+    whenever beta < 1e-3 ||A v_j|| and, once a coefficient outside T's
+    structure has exceeded 1e-12 ||A v_j||, on every step: the basis has
+    started to lose orthogonality, and one pass would carry the loss
+    forward. ConvergenceFailure after MAX_RESTARTS restarts, naming the
+    first rank (descending) not converged, or when the returned vectors are
+    not orthonormal to ORTH_TOL.
 
     The C heap's free pages go back to the OS just before V is allocated
     (_release_heap), and V is cut to its first m rows in place at the end;
@@ -205,24 +262,50 @@ def _lanczos(A, m: int, v0: np.ndarray):
     T = np.zeros((p, p))
     V[0] = v0 / np.linalg.norm(v0)
     rng = np.random.default_rng(START_SEED + 1)
-    start, careful = 0, False
+    eps = np.finfo(float).eps * np.sqrt(n)  # rounding added to omega per step
+    om = np.ones(1)  # omega_j: om[i] bounds |V[i] . V[j]| for i < j, om[j] = 1
+    start, careful, full = 0, False, False
     for _ in range(MAX_RESTARTS):
         for j in range(start, p):
             w = A @ V[j]
             norm = np.linalg.norm(w)
-            h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
-            lo = 0 if j == start else j - 1  # h[lo:] is T's row: arrowhead, else tridiagonal
-            careful = careful or (lo > 0 and np.abs(h[:lo]).max() > 1e-12 * norm)
-            beta = np.linalg.norm(w)
-            if careful or beta < 1e-3 * norm:
-                h2 = V[: j + 1] @ w
-                w -= h2 @ V[: j + 1]
-                h[j] += h2[j]
+            if full or j == start:
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                lo = 0 if j == start else j - 1  # h[lo:] is T's row: arrowhead, else tridiagonal
+                careful = careful or (lo > 0 and np.abs(h[:lo]).max() > 1e-12 * norm)
                 beta = np.linalg.norm(w)
-            T[j, j] = h[j]
+                if careful or beta < 1e-3 * norm:
+                    h2 = V[: j + 1] @ w
+                    w -= h2 @ V[: j + 1]
+                    h[j] += h2[j]
+                    beta = np.linalg.norm(w)
+                alpha = h[j]
+                om_next = np.full(j + 2, 1e-10 if j else eps)  # the kept vectors' level
+            else:
+                w -= T[j, j - 1] * V[j - 1]
+                alpha = V[j] @ w
+                w -= alpha * V[j]
+                beta = np.linalg.norm(w)
+                om_next = np.full(j + 2, eps)
+                lost = beta < 1e-3 * norm or beta <= LANCZOS_TOL  # the latter also when A v_j = 0
+                if not lost:  # Simon's recurrence, on T's rows (arrowhead and tridiagonal)
+                    rec = T[:j, : j + 1] @ om - alpha * om[:j] - T[j, j - 1] * om_prev
+                    om_next[:j] = (np.abs(rec) + eps) / beta
+                    lost = not om_next[:j].max() <= 1e-10
+                if lost:  # both, or the next three-term step would carry v_j's loss into w
+                    V[j] -= (V[:j] @ V[j]) @ V[:j]
+                    V[j] /= np.linalg.norm(V[j])
+                    h2 = V[: j + 1] @ w
+                    w -= h2 @ V[: j + 1]
+                    alpha += h2[j]
+                    beta = np.linalg.norm(w)
+                    om[:j] = om_next[:j] = eps
+            om_next[j + 1] = 1.0
+            om_prev, om = om, om_next
+            T[j, j] = alpha
             if beta <= LANCZOS_TOL:
-                beta = 0.0
+                beta, full = 0.0, True
                 if j + 1 == n:  # V spans the whole space
                     break
                 w = rng.standard_normal(n)
@@ -247,6 +330,7 @@ def _lanczos(A, m: int, v0: np.ndarray):
         T[keep, :keep] = T[:keep, keep] = beta * Q[p - 1, p - keep :]
         V[keep] = V[p]
         start = keep
+        om = np.append(np.full(keep, 1e-10), 1.0)  # the rotated basis is not orthogonal to eps
     else:
         raise ConvergenceFailure(int(np.argmin(converged[::-1])))  # the first False, descending
     # no view of V is alive (products read it through temporaries); a profiler's frame may hold V
@@ -270,7 +354,9 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     data, indices, indptr = _normalized_csr(n, rows, cols, w, h)
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
         route, A = "lanczos", _CSROperator(n, data, indices, indptr)
-        lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
+        # its GEMVs are too small to share: a second thread spins through every product
+        with _blas_threads(1):
+            lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
         step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
     else:
         A = np.zeros((n, n))

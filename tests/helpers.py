@@ -69,6 +69,17 @@ def torus_graph(r: int, c: int) -> WeightedGraph:
     return WeightedGraph(r * c, np.minimum(a, b), np.maximum(a, b), np.ones(a.size))
 
 
+def cycle_product_graph(w: WeightedGraph, r: int) -> WeightedGraph:
+    """W x C_r: r copies of w, node i of copy c joined to node i of copy
+    c + 1 mod r. The cyclic shift of the copies commutes with S, and S's
+    eigenvalues come in pairs, save those whose eigenvectors the shift maps
+    to plus or minus themselves."""
+    n, nodes = w.n, np.arange(w.n)
+    a = np.concatenate([w.rows + c * n for c in range(r)] + [nodes + c * n for c in range(r)])
+    b = np.concatenate([w.cols + c * n for c in range(r)] + [nodes + (c + 1) % r * n for c in range(r)])
+    return WeightedGraph(r * n, np.minimum(a, b), np.maximum(a, b), np.ones(a.size))
+
+
 def hypercube_graph(d: int) -> WeightedGraph:
     """Q_d: nodes 0..2^d-1, i ~ j when i XOR j is a power of 2. S has
     eigenvalue 1 - 2i/d with multiplicity C(d, i)."""

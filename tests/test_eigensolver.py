@@ -18,6 +18,7 @@ from eigenloc import (
     eigensolver,
     generalized_laplacian_eigs,
     generate_bead_chain,
+    generate_er,
     generate_grid,
     generate_two_module,
     normalized_adjacency,
@@ -27,7 +28,14 @@ from eigenloc import (
     tensor_block,
 )
 from eigenloc.errors import AllZeroSpectrum, ConvergenceFailure, InputError, IsolatedNode
-from helpers import complete_graph, hypercube_graph, path_graph, random_connected_graph, torus_graph
+from helpers import (
+    complete_graph,
+    cycle_product_graph,
+    hypercube_graph,
+    path_graph,
+    random_connected_graph,
+    torus_graph,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -379,8 +387,10 @@ def test_lanczos_route_matches_full_dense_solve(make, k, copies):
         (lambda: torus_graph(20, 30), 20),
         (lambda: path_graph(500), 20),
         (lambda: hypercube_graph(10), 10),  # 1 and all ten copies of 4/5
+        # a random spectrum, 2-fold degenerate: a missing or a ghost copy moves every later rank
+        (lambda: cycle_product_graph(generate_er(200, 0.05, 0), 10), 60),
     ],
-    ids=["bead_chain", "grid_30x40", "torus_20x30", "path_500", "hypercube_10"],
+    ids=["bead_chain", "grid_30x40", "torus_20x30", "path_500", "hypercube_10", "er_200_x_c10"],
 )
 def test_lanczos_route_matches_dense_eigvalsh(make, k):
     g = make()
@@ -450,6 +460,56 @@ def test_small_k_dense_range_takes_lanczos(monkeypatch, beads, k):
     basis = spectrum_random_walk(bead_chain(beads), k=k)
     assert basis.solves == (("lanczos", 500 * beads, k + 1),)
     assert max(sizes) <= 2 * k + 3
+
+
+def blas_thread_count():
+    pair = eigensolver._openblas_threads()
+    if pair is None:
+        pytest.skip("numpy's BLAS has no thread-count setter here")
+    return pair[0]
+
+
+def test_lanczos_route_same_bytes_at_one_and_two_blas_threads():
+    # the solve runs on one BLAS thread whatever the caller's count; at one
+    # thread all along, full reorthogonalization lost copies here (off by 1.6e-2)
+    blas_thread_count()
+    g = torus_graph(45, 45)
+    ref = np.linalg.eigvalsh(normalized_adjacency(g).matrix.toarray())[::-1]
+    bases = []
+    for threads in (1, 2):
+        with eigensolver._blas_threads(threads):
+            bases.append(spectrum_random_walk(g, k=100))
+    for basis in bases:
+        assert basis.solves == (("lanczos", 2025, 101),)
+        assert np.abs(basis.lambdas - ref[:100]).max() <= 1e-9
+    assert bases[0].lambdas.tobytes() == bases[1].lambdas.tobytes()
+    assert bases[0].vectors.tobytes() == bases[1].vectors.tobytes()
+
+
+def test_only_the_lanczos_route_caps_blas_threads(monkeypatch):
+    get = blas_thread_count()
+    import scipy.linalg
+
+    seen = []
+
+    def spy(real):
+        return lambda *args, **kwargs: seen.append(get()) or real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))  # Lanczos's T; the full route
+    monkeypatch.setattr(scipy.linalg, "eigh", spy(scipy.linalg.eigh))  # evr
+    with eigensolver._blas_threads(2):
+        caller = get()
+        assert caller == 2
+        for k, route in [(20, "lanczos"), (100, "evr"), (999, "full")]:
+            seen.clear()
+            basis = spectrum_random_walk(bead_chain_1000(), k=k)
+            assert basis.solves[0][0] == route
+            assert set(seen) == {1 if route == "lanczos" else caller}
+            assert get() == caller
+        monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 1)
+        with pytest.raises(ConvergenceFailure):
+            spectrum_random_walk(bead_chain(4), k=50)
+        assert get() == caller
 
 
 def test_lanczos_restart_cap_is_a_convergence_failure(monkeypatch):

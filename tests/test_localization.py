@@ -192,7 +192,7 @@ def test_histogram_tiny_entries_that_differ_keep_their_bins():
 
 
 # rank 0 of this 4,000-node chain is the stationary vector, whose entries
-# differ by rounding that follows the BLAS thread count
+# differ by rounding
 STATIONARY_HIST = """
 import numpy as np
 from eigenloc import generate_bead_chain, histogram, spec_from_json, spectrum_random_walk
