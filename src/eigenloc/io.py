@@ -12,8 +12,12 @@ import io
 import json
 import math
 import os
+import shutil
+import signal
+import tempfile
 import warnings
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,7 +32,7 @@ from .errors import (
     NegativeWeight,
     ParseError,
 )
-from .localization import csl
+from .localization import csl, histogram
 from .operators import MigrationInput, WeightedGraph, _canonical_pairs, _sorted_distinct
 from .twolevel import (
     ERBead,
@@ -550,18 +554,23 @@ def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> st
     return _json_text(doc) + "\n"
 
 
+def _write_rank(out: Path, rank: int, v: np.ndarray, hist) -> None:
+    """Write eigvec_<rank>.csv for the unit eigenvector v and hist_<rank>.csv
+    for its histogram."""
+    bins = _format_rows("%.17g,%.17g,%d\n", hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
+    (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(v))
+    (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
+
+
 def _write_ranks(out: Path, report: AnalysisReport, ranks) -> None:
     """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order."""
     for rank in ranks:
-        edges, counts = report.hists[rank].bin_edges, report.hists[rank].counts
-        bins = _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], counts)
-        (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
-        (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
+        _write_rank(out, rank, report.basis.vectors[:, rank], report.hists[rank])
 
 
-def _fork_writer(out: Path, report: AnalysisReport, ranks) -> int:
-    """Fork a child that writes the files of these ranks -> its pid. The
-    child exits with status 0 if every write succeeded, else 1."""
+def _fork_writer(write) -> int:
+    """Fork a child that calls write() -> its pid. The child exits with
+    status 0 if write returned, else 1."""
     with warnings.catch_warnings():
         # Python 3.12 warns that forking a process with threads (OpenBLAS's)
         # may deadlock the child. This child only formats with Python and
@@ -572,11 +581,110 @@ def _fork_writer(out: Path, report: AnalysisReport, ranks) -> int:
         pid = os.fork()
     if pid == 0:
         try:
-            _write_ranks(out, report, ranks)
+            write()
             os._exit(0)
         finally:  # reached only if a write raised, since os._exit does not return
             os._exit(1)
     return pid
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _LockedRanks:
+    """Report files of the pairs a one-component Lanczos-route solve locks,
+    written while the solve goes on, with 2+ usable CPUs. Within the `with`
+    block, _lanczos calls this object with every pair locked so far, (lams,
+    rows), after each restart that locks more.
+
+    A locked pair is final, and pairs lock in rank order, so locked row r is
+    rank r's S-eigenvector unless a pair locked later sorts above it. When
+    no writer child is alive, one is forked (_fork_writer) for the locked
+    ranks not yet handed out; it makes each row the returned column with
+    the helper spectrum_random_walk uses and writes the rank's files into a
+    staging directory beside out. place() moves them into out once the
+    final eigenvalues confirm their ranks. Leaving the block, also by an
+    exception, ends any child and removes the staging directory, so a
+    failed analyze leaves out as it found it.
+    """
+
+    def __init__(self, out: Path, g: WeightedGraph, nbins: int):
+        self.out, self.root, self.nbins = out, np.sqrt(g.degrees), nbins
+        self.stage = self.pid = None
+        self.lams: list[float] = []  # the value of each locked rank
+        self.done = self.sent = 0  # ranks below done are staged, done..sent-1 being written
+        # no children on one CPU, or once a child or the staging failed
+        self.broken = _usable_cpus() < 2
+
+    def __enter__(self) -> _LockedRanks:
+        from .eigensolver import _on_lock  # not at the top: generate needs no solver
+
+        self.token = _on_lock.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.token.var.reset(self.token)
+        if self.pid is not None:  # a failed solve or report: its files are not wanted
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.stage is not None:
+            shutil.rmtree(self.stage, ignore_errors=True)
+
+    def __call__(self, lams: np.ndarray, rows: np.ndarray) -> None:
+        self.lams = lams.tolist()
+        if self.broken or (self.pid is not None and not self._reap(os.WNOHANG)):
+            return
+        ranks = range(self.sent, len(self.lams))
+        try:
+            if self.stage is None:
+                self.stage = Path(tempfile.mkdtemp(prefix=".eigenloc-", dir=self.out.parent))
+            self.pid = _fork_writer(partial(self._write, rows, ranks))
+        except OSError:
+            self.broken = True
+            return
+        self.sent = len(self.lams)
+
+    def _write(self, rows: np.ndarray, ranks) -> None:
+        from .eigensolver import _unit_vector
+
+        for rank in ranks:
+            v = rows[rank].copy()
+            _unit_vector(v, self.root)
+            _write_rank(self.stage, rank, v, histogram(v, self.nbins))
+
+    def _reap(self, flags: int = 0) -> bool:
+        """Whether the child has exited; a failed child's ranks go back."""
+        pid, status = os.waitpid(self.pid, flags)
+        if pid == 0:
+            return False
+        self.pid = None
+        if status == 0:
+            self.done = self.sent
+        else:
+            self.broken, self.sent = True, self.done
+        return True
+
+    def confirmed(self, lambdas: np.ndarray) -> int:
+        """-> q: ranks below q were handed out and are the final basis's.
+        The merge sorts stably, locked rows first in the order they locked,
+        so while the final values of ranks 0..q-1 equal the locked ones
+        bitwise, no pair sorted above any of them."""
+        q = 0
+        while q < self.sent and lambdas[q] == self.lams[q]:
+            q += 1
+        return q
+
+    def place(self, out: Path, report: AnalysisReport, q: int) -> None:
+        """Wait for the child, write here the ranks below q it failed to
+        write, and move the staged files of the rest into out."""
+        if self.pid is not None:
+            self._reap()
+        staged = min(self.done, q)
+        _write_ranks(out, report, range(staged, q))
+        for rank in range(staged):
+            for kind in ("eigvec", "hist"):
+                os.replace(self.stage / f"{kind}_{rank}.csv", out / f"{kind}_{rank}.csv")
 
 
 def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
@@ -588,11 +696,25 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
     this process writes every rank again in rank order, as it does alone
     (W = 1). So the bytes written do not depend on W, and on failure the
     IoError names the first failed write in the order of the returned paths.
+
+    The analyze command solves inside a _LockedRanks block: there, with 2+
+    usable CPUs, the files of the ranks a one-component Lanczos-route solve
+    locks are written during the solve by at most one extra process at a
+    time, and _emit_report then writes only the ranks not streamed, and
+    rewrites the streamed ranks from the first whose final eigenvalue
+    differs bitwise from its locked one (a later pair sorted above it). The
+    bytes are the same either way. The streamed files are staged beside
+    out_dir and moved in here, so a failed solve writes nothing into it.
     """
-    out = Path(out_dir)
+    return _emit_report(report, Path(out_dir), None)
+
+
+def _emit_report(report: AnalysisReport, out: Path, stream: _LockedRanks | None) -> list[Path]:
+    """emit_report, with the files of streamed ranks taken from stream."""
     basis = report.basis
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    nworkers = min(cpus, basis.k)
+    q = stream.confirmed(basis.lambdas) if stream is not None else 0
+    todo = range(q, basis.k)  # the ranks not streamed
+    nworkers = max(1, min(_usable_cpus(), len(todo)))
     try:
         out.mkdir(parents=True, exist_ok=True)
         spectrum = _format_rows("%d,%.17g,%.17g\n", range(basis.k), basis.lambdas, report.sq_spectrum)
@@ -601,9 +723,11 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
         pids, failed = [], False
         try:
             for first in range(1, nworkers):
-                pids.append(_fork_writer(out, report, range(first, basis.k, nworkers)))
-            _write_ranks(out, report, range(0, basis.k, nworkers))
-        except OSError:  # a failed fork, or a failed write of this process
+                pids.append(_fork_writer(partial(_write_ranks, out, report, todo[first::nworkers])))
+            _write_ranks(out, report, todo[::nworkers])
+            if stream is not None:
+                stream.place(out, report, q)
+        except OSError:  # a failed fork, or a failed write or move of this process
             failed = True
         finally:
             for pid in pids:  # a nonzero status: a write failed, or the child died

@@ -537,6 +537,39 @@ def test_lanczos_ghost_copy_is_a_convergence_failure(monkeypatch):
     assert exc.value.rank == 0
 
 
+def test_locked_pairs_handed_out_are_the_returned_ones():
+    # the report writer streams the rows _lanczos locks: a locked row must be
+    # bitwise the returned column, and the locked prefix the top ranks here
+    g = bead_chain(4)
+    seen = []
+
+    def record(lams, rows):
+        seen.append((lams.copy(), rows.copy()))
+
+    token = eigensolver._on_lock.set(record)
+    try:
+        basis = spectrum_random_walk(g, k=50)
+    finally:
+        eigensolver._on_lock.reset(token)
+    assert basis.solves == (("lanczos", 2000, 51),)
+    assert len(seen) >= 2
+    root = np.sqrt(g.degrees)
+    for lams, rows in seen:
+        assert lams.tobytes() == basis.lambdas[: lams.size].tobytes()
+        for r, x in enumerate(rows):
+            eigensolver._unit_vector(x, root)
+            assert x.tobytes() == basis.vectors[:, r].tobytes(), r
+
+    h = 1.0 / np.sqrt(g.degrees)
+    A = eigensolver._CSROperator(g.n, *eigensolver._normalized_csr(g.n, g.rows, g.cols, g.weights, h))
+    seen.clear()
+    lam, Y = eigensolver._lanczos(A, 51, np.random.default_rng(1).standard_normal(g.n), record)
+    assert len(seen) >= 2
+    lams, rows = seen[-1]
+    assert lams.tobytes() == lam[: lams.size].tobytes()
+    assert rows.tobytes() == np.ascontiguousarray(Y[:, : lams.size].T).tobytes()
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Lanczos route loses copies of "
                    "repeated eigenvalues below the dense limit")
 def test_default_settings_match_dense_eigvalsh_on_torus_32x32():

@@ -17,6 +17,7 @@ from eigenloc import (
     TwoModuleBead,
     analyze,
     cli,
+    eigensolver,
     emit_report,
     generate_bead_chain,
     generate_two_module,
@@ -701,6 +702,105 @@ def test_report_is_complete_when_a_writer_process_dies(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
+
+def _analyze(graph, out) -> int:
+    return cli.main(["analyze", str(graph), "--k", "100", "--ranks", "1,2", "--out", str(out)])
+
+
+def _tree(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def chain4000(tmp_path_factory):
+    """A dense_mid-size chain (8 beads of 250 + 250 nodes, n = 4,000) on the
+    Lanczos route at k = 100, and its report written on one usable CPU, so
+    without streaming."""
+    d = tmp_path_factory.mktemp("chain4000")
+    bead = TwoModuleBead(250, 250, 0.2, 0.02)
+    write_graph(generate_bead_chain(TwoLevelSpec((bead,) * 8, PathRandom(0.002), seed=29)), d / "g.mtx")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _analyze(d / "g.mtx", d / "one") == 0
+    return d / "g.mtx", _tree(d / "one")
+
+
+@pytest.fixture
+def streaming(monkeypatch):
+    """Two usable CPUs; -> {"locks": locked count at each lock, "forks":
+    report writers forked during a solve}."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = {"locks": [], "forks": 0}
+    solving = []
+    lanczos, fork_writer, lock = eigensolver._lanczos, eio._fork_writer, eio._LockedRanks.__call__
+
+    def spy_lanczos(*args):
+        solving.append(True)
+        try:
+            return lanczos(*args)
+        finally:
+            solving.pop()
+
+    def spy_fork(write):
+        seen["forks"] += bool(solving)
+        return fork_writer(write)
+
+    def spy_lock(self, lams, rows):
+        seen["locks"].append(lams.size)
+        lock(self, lams, rows)
+
+    monkeypatch.setattr(eigensolver, "_lanczos", spy_lanczos)
+    monkeypatch.setattr(eio, "_fork_writer", spy_fork)
+    monkeypatch.setattr(eio._LockedRanks, "__call__", spy_lock)
+    return seen
+
+
+def test_streamed_report_is_byte_identical_to_the_one_cpu_report(chain4000, streaming, tmp_path):
+    # two CPUs: locked ranks' files are written during the solve, the rest after it
+    graph, one = chain4000
+    assert _analyze(graph, tmp_path / "two") == 0
+    assert len(streaming["locks"]) >= 3 and streaming["forks"] >= 1
+    assert _tree(tmp_path / "two") == one
+    assert [p.name for p in tmp_path.iterdir()] == ["two"]  # no staging directory is left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_streamed_rank_whose_eigenvalue_moved_is_rewritten(chain4000, streaming, tmp_path, monkeypatch):
+    # as if a pair locked later had sorted above rank 1: its final value
+    # differs from the locked one, and its staged files hold another vector
+    graph, one = chain4000
+    lock = eio._LockedRanks.__call__
+
+    def moved(self, lams, rows):
+        lams, rows = lams.copy(), rows.copy()
+        lams[1] += 1e-3
+        rows[1] = rows[0]
+        lock(self, lams, rows)
+
+    monkeypatch.setattr(eio._LockedRanks, "__call__", moved)
+    assert _analyze(graph, tmp_path / "two") == 0
+    assert streaming["forks"] >= 1
+    assert _tree(tmp_path / "two") == one
+
+
+def test_failed_solve_after_streaming_leaves_the_report_directory_as_found(
+    chain4000, streaming, tmp_path, monkeypatch, capsys
+):
+    graph, one = chain4000
+    monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 3)  # ranks lock at each restart, then it fails
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for name, data in one.items():
+        (existing / name).write_bytes(data)
+    assert _analyze(graph, existing) == 3
+    assert _tree(existing) == one
+    assert _analyze(graph, tmp_path / "fresh") == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert streaming["forks"] >= 2  # each run streamed a batch
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]  # nor a staging directory
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 def test_json_text_refuses_what_json_cannot_spell():
     with pytest.raises(TypeError, match="cannot serialize set"):
