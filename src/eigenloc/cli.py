@@ -82,18 +82,15 @@ def _cmd_analyze(args) -> int:
     from .diagnostics import analyze
 
     g = _load_graph(args)
-    out = Path(args.out)
-    with eio._LockedRanks(out, g, args.bins) as stream:  # locked ranks' files, during the solve
-        report = analyze(
-            g,
-            k=args.k,
-            sweep_ranks=_parse_ranks(args.ranks),
-            window=args.window,
-            tau=args.tau,
-            nbins=args.bins,
-        )
-        paths = eio._emit_report(report, out, stream)
-    for path in paths:
+    report = analyze(
+        g,
+        k=args.k,
+        sweep_ranks=_parse_ranks(args.ranks),
+        window=args.window,
+        tau=args.tau,
+        nbins=args.bins,
+    )
+    for path in eio.emit_report(report, args.out):
         print(path)
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -57,9 +56,6 @@ START_SEED = 20110601
 LANCZOS_TOL = 1e-13
 MAX_RESTARTS = 1000
 ORTH_TOL = 1e-10
-# The on_lock callback of a one-component Lanczos-route solve (see _lanczos);
-# io._LockedRanks sets it around the solve of the analyze command
-_on_lock: ContextVar = ContextVar("eigenloc_on_lock", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +103,6 @@ def _sign_normalize(x: np.ndarray) -> None:
     # largest-|entry| positive, in place; argmax takes the lowest index on ties
     if x[np.argmax(np.abs(x))] < 0:
         x *= -1.0
-
-
-def _unit_vector(x: np.ndarray, root_degrees: np.ndarray) -> None:
-    """The returned column of the S-eigenvector x, in place: x = D^-1/2 x,
-    scaled to unit L2 and sign-normalized. On a contiguous x the bytes do
-    not depend on where x lives, so a report writer streaming locked
-    Lanczos rows gets the columns spectrum_random_walk returns."""
-    x /= root_degrees
-    x /= np.sqrt(np.add.reduce(x * x))  # bitwise norm(X, axis=0) on a column-major X
-    _sign_normalize(x)
 
 
 def _release_heap() -> None:
@@ -230,7 +216,7 @@ class _CSROperator:
         return y
 
 
-def _lanczos(A, m: int, v0: np.ndarray, on_lock=None):
+def _lanczos(A, m: int, v0: np.ndarray):
     """Top m eigenpairs of the symmetric n x n CSR operator A with ||A||_2 <=
     1, by thick-restart Lanczos (Wu & Simon 2000, SIAM J. Matrix Anal. Appl.
     22:602) with partial reorthogonalization (Simon 1984, Math. Comp.
@@ -250,11 +236,8 @@ def _lanczos(A, m: int, v0: np.ndarray, on_lock=None):
     descending, and is never rotated again. Their arrowhead entries, at most
     LANCZOS_TOL, are dropped from T, and the Rayleigh-Ritz step diagonalizes
     T's active block alone; Gram-Schmidt and the omega-recurrence still run
-    against the locked rows. After each restart that locks pairs,
-    on_lock(lams, rows), when given, receives every locked pair so far: the
-    values and a view of V's locked rows, which stay bitwise the returned
-    vectors. It must not keep the view. No restart locks the m-th pair: a
-    restart that finds all m converged ends the solve.
+    against the locked rows. No restart locks the m-th pair: a restart that
+    finds all m converged ends the solve.
 
     The first step of each cycle (T's arrowhead row) makes a classical
     Gram-Schmidt pass against V (two GEMVs), and a second when beta <
@@ -274,9 +257,10 @@ def _lanczos(A, m: int, v0: np.ndarray, on_lock=None):
     whenever beta < 1e-3 ||A v_j|| and, once a coefficient outside T's
     structure has exceeded 1e-12 ||A v_j||, on every step: the basis has
     started to lose orthogonality, and one pass would carry the loss
-    forward. ConvergenceFailure after MAX_RESTARTS restarts, naming the
-    first rank (descending) not converged, or when the returned vectors are
-    not orthonormal to ORTH_TOL, naming the first row that is not.
+    forward. ConvergenceFailure of kind "restarts" after MAX_RESTARTS
+    restarts, naming the first rank (descending) not converged, or of kind
+    "orthogonality" when the returned vectors are not orthonormal to
+    ORTH_TOL, naming the first row that is not.
 
     The C heap's free pages go back to the OS just before V is allocated
     (_release_heap), and V is cut to its first m rows in place at the end;
@@ -361,39 +345,36 @@ def _lanczos(A, m: int, v0: np.ndarray, on_lock=None):
         T[np.arange(keep), np.arange(keep)] = np.concatenate([lam[:locked], theta[: keep - locked]])
         T[keep, new:keep] = T[new:keep, keep] = beta * Q[-1, new - locked : keep - locked]
         lam[locked:new] = theta[: new - locked]
-        if new > locked and on_lock is not None:
-            on_lock(lam[:new], V[:new])
         locked = new
         V[keep] = V[p]
         start = keep
         om = np.append(np.full(keep, 1e-10), 1.0)  # the rotated basis is not orthogonal to eps
     else:
-        raise ConvergenceFailure(locked)  # the first rank not converged
+        raise ConvergenceFailure(locked, kind="restarts")  # the first rank not converged
     # no view of V is alive (products read it through temporaries); a profiler's frame may hold V
     V.resize((m, n), refcheck=False)  # in place: the rows past m go back to the allocator
     Y = V.T  # column-major
     off = np.abs(Y.T @ Y - np.eye(m)).max(axis=0)
-    if not off.max() <= ORTH_TOL:  # a NaN fails too
-        raise ConvergenceFailure(int(np.argmax(~(off <= ORTH_TOL))))  # rows are in rank order
+    if not off.max() <= ORTH_TOL:  # a NaN fails too; rows are in rank order
+        raise ConvergenceFailure(int(np.argmax(~(off <= ORTH_TOL))), kind="orthogonality")
     return lam, Y
 
 
-def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int, on_lock=None):
+def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     """Top m eigenpairs of the block of S on n nodes whose edges (rows, cols,
     w) come in canonical order, h = 1/sqrt(d) per node, by the route the
     block's size picks, with each pair's residual ||A y - lambda y|| and the
     solve's (route, n, m); m is k + 1, or n when k >= n - 1. Every route
     builds S's CSR; the dense routes scatter it into their n x n block. On
     the Lanczos route Y is the basis itself, cut to its first m rows and
-    transposed, the residuals are taken eight columns at a time, and
-    on_lock goes to _lanczos; the dense routes lock nothing."""
+    transposed, and the residuals are taken eight columns at a time."""
     k = m - 1
     data, indices, indptr = _normalized_csr(n, rows, cols, w, h)
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
         route, A = "lanczos", _CSROperator(n, data, indices, indptr)
         # its GEMVs are too small to share: a second thread spins through every product
         with _blas_threads(1):
-            lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n), on_lock)
+            lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
         step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
     else:
         A = np.zeros((n, n))
@@ -427,9 +408,7 @@ def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
     node order. Components are numbered by their lowest node, and the merge
     keeps that order among equal eigenvalues (the final sort is stable).
     Every merged pair must pass its residual check; a failure names its
-    merged rank. A connected graph's solve hands its locked pairs to the
-    _on_lock callback, if one is set: its pairs keep their order in the
-    stable merge.
+    merged rank.
     """
     h = 1.0 / np.sqrt(_require_positive_degrees(g))  # raises IsolatedNode
     ncomp, labels = g.components
@@ -444,9 +423,8 @@ def _solve_components(g: WeightedGraph, m: int, dense_limit: int):
         ebounds = np.searchsorted(labels[g.rows][order], np.arange(ncomp + 1)).tolist()
         rows, cols, w = local[g.rows][order], local[g.cols][order], g.weights[order]
         blocks = [(rows[e:f], cols[e:f], w[e:f]) for e, f in zip(ebounds[:-1], ebounds[1:])]
-    on_lock = _on_lock.get() if ncomp == 1 else None
     parts = [
-        _solve_block(b - a, *edges, h[perm[a:b]], min(m, b - a), dense_limit, on_lock)
+        _solve_block(b - a, *edges, h[perm[a:b]], min(m, b - a), dense_limit)
         for a, b, edges in zip(bounds[:-1].tolist(), bounds[1:].tolist(), blocks)
     ]
     evals = np.concatenate([lam for lam, *_ in parts])
@@ -510,7 +488,9 @@ def spectrum_random_walk(
     evals, X, solves = _solve_components(g, m, dense_limit)
     root = np.sqrt(g.degrees)
     for x in X.T:  # a column at a time: no n x m temporaries
-        _unit_vector(x, root)
+        x /= root  # D^-1/2 y
+        x /= np.sqrt(np.add.reduce(x * x))  # bitwise norm(X, axis=0) on a column-major X
+        _sign_normalize(x)
     gaps = evals[:-1] - evals[1:]
     clusters = np.concatenate([[0], np.cumsum(gaps >= DEGENERACY_TOL)])
     tail_cut = m > k and clusters[k] == clusters[k - 1]

@@ -105,11 +105,16 @@ class AllZeroSpectrum(InputError):
 
 
 class ConvergenceFailure(NumericalError):
-    def __init__(self, rank: int, residual: float | None = None):
+    """Eigenpair `rank` failed a check of kind "residual" (||S y - lambda y||
+    above RESIDUAL_TOL), "orthogonality" (Lanczos vectors not orthonormal to
+    ORTH_TOL) or "restarts" (not converged within MAX_RESTARTS restarts)."""
+
+    def __init__(self, rank: int, residual: float | None = None, kind: str = "residual"):
         self.rank = rank
         self.residual = residual
+        self.kind = kind
         detail = f" (residual {residual:.3e})" if residual is not None else ""
-        super().__init__(f"eigenpair {rank} failed the residual tolerance{detail}")
+        super().__init__(f"eigenpair {rank} failed the {kind} check{detail}")
 
 
 class IoError(EigenlocError):

@@ -12,12 +12,9 @@ import io
 import json
 import math
 import os
-import shutil
-import signal
-import tempfile
 import warnings
 from dataclasses import fields
-from functools import partial
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,7 +29,7 @@ from .errors import (
     NegativeWeight,
     ParseError,
 )
-from .localization import csl, histogram
+from .localization import csl
 from .operators import MigrationInput, WeightedGraph, _canonical_pairs, _sorted_distinct
 from .twolevel import (
     ERBead,
@@ -522,9 +519,150 @@ def ipr_csv(basis: Eigenbasis, curve) -> str:
     )
 
 
+# The eigvec_<r>.csv bodies, two floats per node and rank, are most of a
+# report's bytes. _g17_rows writes them with numpy, byte for byte as '%.17g'
+# does. For 1e-300 <= |x| < 1 and E = floor(log10 |x|), the 17 digits are
+# |x| 10^(16-E), a number in [1e16, 1e17), rounded half-even to an integer.
+# The product is a double-double from Dekker's TwoProduct: 10^(16-E) is
+# (hi + lo) 2^s, exact to about 2^-106, with hi split by Veltkamp in the
+# tables, and |x| 2^s is an exact scaling. It is off by less than 1e-14, so
+# a fraction further than 1e-9 from one half rounds the right way. Zeros are
+# written here too; a value nearer a tie, and any other |x| outside that
+# range, goes to _g17_slow.
+
+_G17_BLOCK = 8192  # rows per record block
+
+
+def _words(texts, width: int = 8, right: bool = False) -> np.ndarray:
+    """Each text as width bytes, padded with NULs on the right (on the left
+    if right), viewed as width // 8 uint64 words."""
+    pad = bytes.rjust if right else bytes.ljust
+    return np.frombuffer(b"".join(pad(t, width, b"\0") for t in texts), np.uint64).reshape(len(texts), -1)
+
+
+@cache
+def _g17_tables() -> dict:
+    """The tables of _g17_field and _g17_rows, built on first use. A
+    field's lead word is ',', the sign and what comes before digit d1,
+    right-aligned; its code is (layout * 2 + sign) * 10 + d0, where layout
+    0-3 is 0.(layout zeros)d0, 4 is d0., 5 is d0 alone and 6 is a zero.
+    The masks keep a prefix (of digits) or a suffix (of a row number)."""
+    # 10^p = (hi + lo) 2^s with hi in [1, 2); int / int rounds correctly
+    shift = [(10**p).bit_length() - 1 for p in range(320)]
+    hi = [10**p / (1 << s) for p, s in enumerate(shift)]
+    lo = [(10**p * 2**52 - int(h * 2**52) * (1 << s)) / (1 << (s + 52))
+          for p, (s, h) in enumerate(zip(shift, hi))]
+    hi = np.array(hi)
+    split = hi * 134217729.0  # Veltkamp: 2^27 + 1
+    four = [b"%04d" % i for i in range(10000)]
+    lead = [b"," + sign + ([b"0." + b"0" * layout + d0] * 4 + [d0 + b".", d0, b"0"])[layout]
+            for layout in range(7) for sign in (b"", b"-") for d0 in (b"%d" % d for d in range(10))]
+    return {
+        "shift": np.array(shift),
+        "hi": hi,
+        "hi_hi": split - (split - hi),
+        "lo": np.array(lo),
+        "four": np.frombuffer(b"".join(four), np.uint32),
+        "zeros": np.array([4 - len(t.rstrip(b"0")) for t in four]),  # trailing, of each 4 digits
+        "prefix": _words([b"\xff" * j for j in range(17)], 16).view(np.complex128)[:, 0],  # 16-byte items
+        "suffix": _words([b"\xff" * j for j in range(9)], right=True)[:, 0],
+        "lead": _words(lead, right=True)[:, 0],
+        "exp": _words([b"e-%02d" % m if m >= 5 else b"" for m in range(320)])[:, 0],
+    }
+
+
+def _g17_scale(a: np.ndarray, e: np.ndarray, t: dict):
+    """-> (ph, pl): a 10^(16-e) as the double-double ph + pl."""
+    p = 16 - e
+    y = np.ldexp(a, t["shift"][p])  # exact: a is normal, and so is y
+    split = y * 134217729.0
+    y_hi = split - (split - y)
+    y_lo = y - y_hi
+    b, b_hi = t["hi"][p], t["hi_hi"][p]
+    b_lo = b - b_hi
+    ph = y * b
+    pl = (((y_hi * b_hi - ph) + y_hi * b_lo) + y_lo * b_hi) + y_lo * b_lo + y * t["lo"][p]
+    return ph, pl
+
+
+def _g17_slow(values: np.ndarray) -> list[str]:
+    """'%.17g' % x for each value x: the values _g17_field does not write."""
+    return ["%.17g" % x for x in values.tolist()]
+
+
+def _g17_field(x: np.ndarray, rec: np.ndarray) -> None:
+    """Write ',' and '%.17g' % x[i] into row i of rec, a (len(x), 4) uint64
+    view, as the lead word, the digits d1..d16 and the exponent word, with
+    NULs in the bytes to drop."""
+    t = _g17_tables()
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = (ax >= 1e-300) & (ax < 1.0)
+    a = np.where(fast, ax, 0.5)  # a stand-in that keeps the arithmetic finite
+    e = np.floor(np.log10(a)).astype(np.int64)  # may miss by one next to a power of ten
+    ph, pl = _g17_scale(a, e, t)
+    edge = np.flatnonzero((ph <= 1e16) | (ph >= 1e17))
+    while edge.size:  # until ph + pl lies in [1e16, 1e17), where ph is a whole number
+        hi, lo = ph[edge], pl[edge]
+        step = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64)
+        step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+        edge = edge[step != 0]
+        e[edge] += step[step != 0]
+        ph[edge], pl[edge] = _g17_scale(a[edge], e[edge], t)
+    whole = np.floor(pl)
+    frac = pl - whole
+    n = ph.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    slow = ~zero & (~fast | (np.abs(frac - 0.5) < 1e-9))
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry] = 10**16
+    e += carry
+    d0 = n // 10**16
+    upper, lower = np.divmod(n - d0 * 10**16, 10**8)
+    chunks = np.stack([upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4], axis=1)
+    z = t["zeros"][chunks.T]  # trailing zeros of each 4 digits, 4 for 0000
+    last = 16 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])))  # d1..d_last stay
+    layout = np.where(e >= -4, -1 - e, 5 - (last > 0))
+    layout[zero] = 6
+    rec[:, 0] = t["lead"][(layout * 2 + np.signbit(x)) * 10 + d0]
+    rec[:, 1:3] = t["four"][chunks].view(np.uint64) & t["prefix"][last].view(np.uint64).reshape(-1, 2)
+    rec[:, 3] = t["exp"][-e]
+    rows = np.flatnonzero(slow)
+    for i, text in zip(rows.tolist(), _g17_slow(x[rows])):
+        rec[i] = _words([b"," + text.encode()], 32)
+
+
+def _g17_rows(*columns: np.ndarray) -> str:
+    """"%d,%.17g,...,%.17g\n" % (i, columns[0][i], ...) for each row i.
+
+    A block of rows is a record of uint64 words per row: the row number
+    right-aligned, four words per column (_g17_field) and the newline. One
+    boolean mask over the block's bytes drops the NULs.
+    """
+    t = _g17_tables()
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = len(columns[0])
+    id_words = (len(str(max(n - 1, 0))) + 7) // 8
+    pieces = []
+    for a in range(0, n, _G17_BLOCK):
+        ids = np.arange(a, min(a + _G17_BLOCK, n))
+        rec = np.empty((ids.size, id_words + 4 * len(columns) + 1), np.uint64)
+        digits = 1 + np.searchsorted(10 ** np.arange(1, 19), ids, side="right")
+        for w in range(id_words):  # most significant first
+            below = 8 * (id_words - 1 - w)
+            eight = ids // 10**below % 10**8
+            rec[:, w] = t["four"][np.stack([eight // 10**4, eight % 10**4], axis=1)].view(np.uint64)[:, 0]
+            rec[:, w] &= t["suffix"][np.clip(digits - below, 0, 8)]
+        for j, col in enumerate(columns):
+            _g17_field(col[a : a + ids.size], rec[:, id_words + 4 * j : id_words + 4 * j + 4])
+        rec[:, -1] = ord("\n")  # one nonzero byte, on either byte order
+        raw = rec.view(np.uint8)
+        pieces.append(raw[raw != 0].tobytes())
+    return b"".join(pieces).decode("ascii")
+
+
 def eigvec_csv(v: np.ndarray) -> str:
     """eigvec_<rank>.csv: node,value,csl for each node of a unit eigenvector."""
-    return "node,value,csl\n" + _format_rows("%d,%.17g,%.17g\n", range(v.size), v, csl(v))
+    return "node,value,csl\n" + _g17_rows(v, csl(v))
 
 
 def transition_json(t: TransitionReport, window: int, tau: float) -> str:
@@ -554,23 +692,18 @@ def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> st
     return _json_text(doc) + "\n"
 
 
-def _write_rank(out: Path, rank: int, v: np.ndarray, hist) -> None:
-    """Write eigvec_<rank>.csv for the unit eigenvector v and hist_<rank>.csv
-    for its histogram."""
-    bins = _format_rows("%.17g,%.17g,%d\n", hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
-    (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(v))
-    (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
-
-
 def _write_ranks(out: Path, report: AnalysisReport, ranks) -> None:
     """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order."""
     for rank in ranks:
-        _write_rank(out, rank, report.basis.vectors[:, rank], report.hists[rank])
+        edges, counts = report.hists[rank].bin_edges, report.hists[rank].counts
+        bins = _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], counts)
+        (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
+        (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
 
 
-def _fork_writer(write) -> int:
-    """Fork a child that calls write() -> its pid. The child exits with
-    status 0 if write returned, else 1."""
+def _fork_writer(out: Path, report: AnalysisReport, ranks) -> int:
+    """Fork a child that writes the files of these ranks -> its pid. The
+    child exits with status 0 if every write succeeded, else 1."""
     with warnings.catch_warnings():
         # Python 3.12 warns that forking a process with threads (OpenBLAS's)
         # may deadlock the child. This child only formats with Python and
@@ -581,110 +714,11 @@ def _fork_writer(write) -> int:
         pid = os.fork()
     if pid == 0:
         try:
-            write()
+            _write_ranks(out, report, ranks)
             os._exit(0)
         finally:  # reached only if a write raised, since os._exit does not return
             os._exit(1)
     return pid
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-class _LockedRanks:
-    """Report files of the pairs a one-component Lanczos-route solve locks,
-    written while the solve goes on, with 2+ usable CPUs. Within the `with`
-    block, _lanczos calls this object with every pair locked so far, (lams,
-    rows), after each restart that locks more.
-
-    A locked pair is final, and pairs lock in rank order, so locked row r is
-    rank r's S-eigenvector unless a pair locked later sorts above it. When
-    no writer child is alive, one is forked (_fork_writer) for the locked
-    ranks not yet handed out; it makes each row the returned column with
-    the helper spectrum_random_walk uses and writes the rank's files into a
-    staging directory beside out. place() moves them into out once the
-    final eigenvalues confirm their ranks. Leaving the block, also by an
-    exception, ends any child and removes the staging directory, so a
-    failed analyze leaves out as it found it.
-    """
-
-    def __init__(self, out: Path, g: WeightedGraph, nbins: int):
-        self.out, self.root, self.nbins = out, np.sqrt(g.degrees), nbins
-        self.stage = self.pid = None
-        self.lams: list[float] = []  # the value of each locked rank
-        self.done = self.sent = 0  # ranks below done are staged, done..sent-1 being written
-        # no children on one CPU, or once a child or the staging failed
-        self.broken = _usable_cpus() < 2
-
-    def __enter__(self) -> _LockedRanks:
-        from .eigensolver import _on_lock  # not at the top: generate needs no solver
-
-        self.token = _on_lock.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.token.var.reset(self.token)
-        if self.pid is not None:  # a failed solve or report: its files are not wanted
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        if self.stage is not None:
-            shutil.rmtree(self.stage, ignore_errors=True)
-
-    def __call__(self, lams: np.ndarray, rows: np.ndarray) -> None:
-        self.lams = lams.tolist()
-        if self.broken or (self.pid is not None and not self._reap(os.WNOHANG)):
-            return
-        ranks = range(self.sent, len(self.lams))
-        try:
-            if self.stage is None:
-                self.stage = Path(tempfile.mkdtemp(prefix=".eigenloc-", dir=self.out.parent))
-            self.pid = _fork_writer(partial(self._write, rows, ranks))
-        except OSError:
-            self.broken = True
-            return
-        self.sent = len(self.lams)
-
-    def _write(self, rows: np.ndarray, ranks) -> None:
-        from .eigensolver import _unit_vector
-
-        for rank in ranks:
-            v = rows[rank].copy()
-            _unit_vector(v, self.root)
-            _write_rank(self.stage, rank, v, histogram(v, self.nbins))
-
-    def _reap(self, flags: int = 0) -> bool:
-        """Whether the child has exited; a failed child's ranks go back."""
-        pid, status = os.waitpid(self.pid, flags)
-        if pid == 0:
-            return False
-        self.pid = None
-        if status == 0:
-            self.done = self.sent
-        else:
-            self.broken, self.sent = True, self.done
-        return True
-
-    def confirmed(self, lambdas: np.ndarray) -> int:
-        """-> q: ranks below q were handed out and are the final basis's.
-        The merge sorts stably, locked rows first in the order they locked,
-        so while the final values of ranks 0..q-1 equal the locked ones
-        bitwise, no pair sorted above any of them."""
-        q = 0
-        while q < self.sent and lambdas[q] == self.lams[q]:
-            q += 1
-        return q
-
-    def place(self, out: Path, report: AnalysisReport, q: int) -> None:
-        """Wait for the child, write here the ranks below q it failed to
-        write, and move the staged files of the rest into out."""
-        if self.pid is not None:
-            self._reap()
-        staged = min(self.done, q)
-        _write_ranks(out, report, range(staged, q))
-        for rank in range(staged):
-            for kind in ("eigvec", "hist"):
-                os.replace(self.stage / f"{kind}_{rank}.csv", out / f"{kind}_{rank}.csv")
 
 
 def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
@@ -696,25 +730,10 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
     this process writes every rank again in rank order, as it does alone
     (W = 1). So the bytes written do not depend on W, and on failure the
     IoError names the first failed write in the order of the returned paths.
-
-    The analyze command solves inside a _LockedRanks block: there, with 2+
-    usable CPUs, the files of the ranks a one-component Lanczos-route solve
-    locks are written during the solve by at most one extra process at a
-    time, and _emit_report then writes only the ranks not streamed, and
-    rewrites the streamed ranks from the first whose final eigenvalue
-    differs bitwise from its locked one (a later pair sorted above it). The
-    bytes are the same either way. The streamed files are staged beside
-    out_dir and moved in here, so a failed solve writes nothing into it.
     """
-    return _emit_report(report, Path(out_dir), None)
-
-
-def _emit_report(report: AnalysisReport, out: Path, stream: _LockedRanks | None) -> list[Path]:
-    """emit_report, with the files of streamed ranks taken from stream."""
-    basis = report.basis
-    q = stream.confirmed(basis.lambdas) if stream is not None else 0
-    todo = range(q, basis.k)  # the ranks not streamed
-    nworkers = max(1, min(_usable_cpus(), len(todo)))
+    basis, out = report.basis, Path(out_dir)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    nworkers = min(cpus, basis.k)
     try:
         out.mkdir(parents=True, exist_ok=True)
         spectrum = _format_rows("%d,%.17g,%.17g\n", range(basis.k), basis.lambdas, report.sq_spectrum)
@@ -723,11 +742,9 @@ def _emit_report(report: AnalysisReport, out: Path, stream: _LockedRanks | None)
         pids, failed = [], False
         try:
             for first in range(1, nworkers):
-                pids.append(_fork_writer(partial(_write_ranks, out, report, todo[first::nworkers])))
-            _write_ranks(out, report, todo[::nworkers])
-            if stream is not None:
-                stream.place(out, report, q)
-        except OSError:  # a failed fork, or a failed write or move of this process
+                pids.append(_fork_writer(out, report, range(first, basis.k, nworkers)))
+            _write_ranks(out, report, range(0, basis.k, nworkers))
+        except OSError:  # a failed fork, or a failed write of this process
             failed = True
         finally:
             for pid in pids:  # a nonzero status: a write failed, or the child died

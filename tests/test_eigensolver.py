@@ -15,6 +15,7 @@ from eigenloc import (
     TwoLevelSpec,
     TwoModuleBead,
     WeightedGraph,
+    cli,
     eigensolver,
     generalized_laplacian_eigs,
     generate_bead_chain,
@@ -26,6 +27,7 @@ from eigenloc import (
     random_walk,
     spectrum_random_walk,
     tensor_block,
+    write_graph,
 )
 from eigenloc.errors import AllZeroSpectrum, ConvergenceFailure, InputError, IsolatedNode
 from helpers import (
@@ -537,37 +539,31 @@ def test_lanczos_ghost_copy_is_a_convergence_failure(monkeypatch):
     assert exc.value.rank == 0
 
 
-def test_locked_pairs_handed_out_are_the_returned_ones():
-    # the report writer streams the rows _lanczos locks: a locked row must be
-    # bitwise the returned column, and the locked prefix the top ranks here
-    g = bead_chain(4)
-    seen = []
+@pytest.mark.parametrize("kind", ["residual", "orthogonality", "restarts"])
+def test_convergence_failure_names_the_check_that_failed(tmp_path, monkeypatch, capsys, kind):
+    if kind == "residual":  # the full route, rank 2's eigenvalue off by 1e-6
+        g, k = path_graph(200), 100
+        real = np.linalg.eigh
 
-    def record(lams, rows):
-        seen.append((lams.copy(), rows.copy()))
+        def off(A):
+            evals, Y = real(A)
+            evals[-3] += 1e-6
+            return evals, Y
 
-    token = eigensolver._on_lock.set(record)
-    try:
-        basis = spectrum_random_walk(g, k=50)
-    finally:
-        eigensolver._on_lock.reset(token)
-    assert basis.solves == (("lanczos", 2000, 51),)
-    assert len(seen) >= 2
-    root = np.sqrt(g.degrees)
-    for lams, rows in seen:
-        assert lams.tobytes() == basis.lambdas[: lams.size].tobytes()
-        for r, x in enumerate(rows):
-            eigensolver._unit_vector(x, root)
-            assert x.tobytes() == basis.vectors[:, r].tobytes(), r
-
-    h = 1.0 / np.sqrt(g.degrees)
-    A = eigensolver._CSROperator(g.n, *eigensolver._normalized_csr(g.n, g.rows, g.cols, g.weights, h))
-    seen.clear()
-    lam, Y = eigensolver._lanczos(A, 51, np.random.default_rng(1).standard_normal(g.n), record)
-    assert len(seen) >= 2
-    lams, rows = seen[-1]
-    assert lams.tobytes() == lam[: lams.size].tobytes()
-    assert rows.tobytes() == np.ascontiguousarray(Y[:, : lams.size].T).tobytes()
+        monkeypatch.setattr(np.linalg, "eigh", off)
+    else:  # the Lanczos route
+        g, k = bead_chain(4), 50
+        setting = {"orthogonality": ("ORTH_TOL", 0.0), "restarts": ("MAX_RESTARTS", 3)}[kind]
+        monkeypatch.setattr(eigensolver, *setting)
+    with pytest.raises(ConvergenceFailure) as exc:
+        spectrum_random_walk(g, k=k)
+    assert exc.value.kind == kind
+    assert (exc.value.rank == 2) if kind == "residual" else (0 <= exc.value.rank < k)
+    message = f"eigenpair {exc.value.rank} failed the {kind} check"
+    assert str(exc.value).startswith(message)
+    write_graph(g, tmp_path / "g.mtx")
+    assert cli.main(["ipr", str(tmp_path / "g.mtx"), "--k", str(k)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Lanczos route loses copies of "

@@ -715,7 +715,7 @@ def _tree(out) -> dict:
 def chain4000(tmp_path_factory):
     """A dense_mid-size chain (8 beads of 250 + 250 nodes, n = 4,000) on the
     Lanczos route at k = 100, and its report written on one usable CPU, so
-    without streaming."""
+    by this process alone."""
     d = tmp_path_factory.mktemp("chain4000")
     bead = TwoModuleBead(250, 250, 0.2, 0.02)
     write_graph(generate_bead_chain(TwoLevelSpec((bead,) * 8, PathRandom(0.002), seed=29)), d / "g.mtx")
@@ -725,14 +725,12 @@ def chain4000(tmp_path_factory):
     return d / "g.mtx", _tree(d / "one")
 
 
-@pytest.fixture
-def streaming(monkeypatch):
-    """Two usable CPUs; -> {"locks": locked count at each lock, "forks":
-    report writers forked during a solve}."""
+def test_two_cpu_report_is_byte_identical_to_the_one_cpu_report(chain4000, tmp_path, monkeypatch):
+    # two usable CPUs: one report writer is forked, after the solve
+    graph, one = chain4000
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    seen = {"locks": [], "forks": 0}
-    solving = []
-    lanczos, fork_writer, lock = eigensolver._lanczos, eio._fork_writer, eio._LockedRanks.__call__
+    forks, solving = {"solve": 0, "after": 0}, []
+    lanczos, fork_writer = eigensolver._lanczos, eio._fork_writer
 
     def spy_lanczos(*args):
         solving.append(True)
@@ -741,53 +739,23 @@ def streaming(monkeypatch):
         finally:
             solving.pop()
 
-    def spy_fork(write):
-        seen["forks"] += bool(solving)
-        return fork_writer(write)
-
-    def spy_lock(self, lams, rows):
-        seen["locks"].append(lams.size)
-        lock(self, lams, rows)
+    def spy_fork(*args):
+        forks["solve" if solving else "after"] += 1
+        return fork_writer(*args)
 
     monkeypatch.setattr(eigensolver, "_lanczos", spy_lanczos)
     monkeypatch.setattr(eio, "_fork_writer", spy_fork)
-    monkeypatch.setattr(eio._LockedRanks, "__call__", spy_lock)
-    return seen
-
-
-def test_streamed_report_is_byte_identical_to_the_one_cpu_report(chain4000, streaming, tmp_path):
-    # two CPUs: locked ranks' files are written during the solve, the rest after it
-    graph, one = chain4000
     assert _analyze(graph, tmp_path / "two") == 0
-    assert len(streaming["locks"]) >= 3 and streaming["forks"] >= 1
+    assert forks == {"solve": 0, "after": 1}
     assert _tree(tmp_path / "two") == one
-    assert [p.name for p in tmp_path.iterdir()] == ["two"]  # no staging directory is left
+    assert [p.name for p in tmp_path.iterdir()] == ["two"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_streamed_rank_whose_eigenvalue_moved_is_rewritten(chain4000, streaming, tmp_path, monkeypatch):
-    # as if a pair locked later had sorted above rank 1: its final value
-    # differs from the locked one, and its staged files hold another vector
+def test_failed_solve_leaves_the_report_directory_as_found(chain4000, tmp_path, monkeypatch, capsys):
     graph, one = chain4000
-    lock = eio._LockedRanks.__call__
-
-    def moved(self, lams, rows):
-        lams, rows = lams.copy(), rows.copy()
-        lams[1] += 1e-3
-        rows[1] = rows[0]
-        lock(self, lams, rows)
-
-    monkeypatch.setattr(eio._LockedRanks, "__call__", moved)
-    assert _analyze(graph, tmp_path / "two") == 0
-    assert streaming["forks"] >= 1
-    assert _tree(tmp_path / "two") == one
-
-
-def test_failed_solve_after_streaming_leaves_the_report_directory_as_found(
-    chain4000, streaming, tmp_path, monkeypatch, capsys
-):
-    graph, one = chain4000
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 3)  # ranks lock at each restart, then it fails
     existing = tmp_path / "existing"
     existing.mkdir()
@@ -796,11 +764,11 @@ def test_failed_solve_after_streaming_leaves_the_report_directory_as_found(
     assert _analyze(graph, existing) == 3
     assert _tree(existing) == one
     assert _analyze(graph, tmp_path / "fresh") == 3
-    assert "numerical failure" in capsys.readouterr().err
-    assert streaming["forks"] >= 2  # each run streamed a batch
-    assert [p.name for p in tmp_path.iterdir()] == ["existing"]  # nor a staging directory
+    assert "failed the restarts check" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
 
 def test_json_text_refuses_what_json_cannot_spell():
     with pytest.raises(TypeError, match="cannot serialize set"):

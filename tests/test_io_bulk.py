@@ -33,6 +33,7 @@ from eigenloc import (
 from eigenloc import io as eio
 from eigenloc.cli import main
 from eigenloc.errors import AsymmetricFlow, InputError, ParseError
+from eigenloc.localization import csl
 from eigenloc.operators import WeightedGraph
 from helpers import (
     ref_emit_report,
@@ -331,6 +332,75 @@ def test_writers_match_reference_on_special_values(tmp_path):
     g = WeightedGraph(6, np.arange(5), np.arange(1, 6), w, np.arange(6) % 2,
                       np.array([3, -1, 1, -1, -1, 0]))
     _check_writers(g, None, tmp_path)
+
+
+# ------------------------------------------------------ %.17g row kernel
+
+def _g17_reference(values) -> str:
+    return "".join("%d,%.17g\n" % (i, x) for i, x in enumerate(np.asarray(values, dtype=float).tolist()))
+
+
+@pytest.fixture
+def slow_values(monkeypatch):
+    """The values the row kernel hands to its per-value fallback, in order."""
+    seen = []
+    slow = eio._g17_slow
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return slow(values)
+
+    monkeypatch.setattr(eio, "_g17_slow", spy)
+    return seen
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE_BITS, min_size=1, max_size=40))
+def test_g17_rows_match_percent_format_on_raw_bit_patterns(patterns):
+    # every finite double: half the exponent field lies in the kernel's 1e-300 <= |x| < 1
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert eio._g17_rows(values) == _g17_reference(values)
+
+
+def _ulps(x, steps):
+    out = [x]
+    for direction in (0.0, np.inf):
+        y = x
+        for _ in range(steps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def test_g17_rows_match_percent_format_on_edge_values(slow_values):
+    edge = [0.0, -0.0, 5e-324, 1.0, 0.9999999999999999]
+    edge += _ulps(1e-300, 2)  # the kernel's lower bound
+    for e in range(-310, 1):  # powers of ten: the estimate of E misses by one next to them
+        edge += _ulps(float(f"1e{e}"), 2) + [float(f"9.99999999999999995e{e}")]
+    edge += _ulps(1e-5, 3) + _ulps(1e-4, 3)  # where %g switches from fixed to exponent notation
+    edge += [1e-99, 1.2345e-99, 1e-100, 9.87654321e-100]  # 2- and 3-digit exponents
+    # exact ties: x 10^(16 - E) ends in .5 for x = m 2^-(17 - E), m odd
+    odd = {-1: (26215, 99999, 262143), -2: (5243, 31111), -5: (43, 419)}
+    ties = [m / 2.0 ** (17 - e) for e, ms in odd.items() for m in ms]
+    values = np.array(edge + ties + [-x for x in edge + ties])
+    assert eio._g17_rows(values) == _g17_reference(values)
+    assert set(ties) <= set(slow_values)  # within 1e-9 of a tie: left to '%.17g'
+    assert 0.0 not in slow_values  # zeros are the kernel's own
+
+
+def test_g17_rows_take_no_fallback_on_a_dense_mid_chain_report(slow_values):
+    # a drift back to the per-value path shows as a count here, not only as time
+    basis = spectrum_random_walk(_chain(8, 250, 0.002, seed=29), k=100)
+    assert basis.solves == (("lanczos", 4000, 101),)
+    for rank in range(basis.k):
+        v = basis.vectors[:, rank]
+        assert eio.eigvec_csv(v) == "node,value,csl\n" + eio._format_rows(
+            "%d,%.17g,%.17g\n", range(v.size), v, csl(v)
+        ), rank
+    assert slow_values == []
 
 
 def test_cli_ipr_and_csl_match_analyze_report(tmp_path):
