@@ -100,9 +100,11 @@ class Eigenbasis:
 
 
 def _sign_normalize(x: np.ndarray) -> None:
-    # largest-|entry| positive, in place; argmax takes the lowest index on ties
+    # largest-|entry| positive, in place; argmax takes the lowest index on ties.
+    # Adding 0.0 turns a flipped zero's -0.0 into 0.0 and changes nothing else.
     if x[np.argmax(np.abs(x))] < 0:
         x *= -1.0
+        x += 0.0
 
 
 def _release_heap() -> None:

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
 )
 from .localization import csl
-from .operators import MigrationInput, WeightedGraph, _canonical_pairs, _sorted_distinct
+from .operators import MigrationInput, WeightedGraph, _canonical_pairs, _pair_order, _sorted_distinct
 from .twolevel import (
     ERBead,
     GlobalRandom,
@@ -83,7 +83,7 @@ def write_graph(g: WeightedGraph, path) -> None:
     Path(path).write_text(
         "%%MatrixMarket matrix coordinate real symmetric\n"
         f"{g.n} {g.n} {g.edge_count}\n"
-        + _format_rows("%d %d %.17g\n", g.cols + 1, g.rows + 1, g.weights)
+        + _g17_rows(g.cols + 1, g.rows + 1, g.weights, sep=" ")
     )
 
 
@@ -92,14 +92,9 @@ def write_labels(g: WeightedGraph, path) -> None:
     if g.labels is None:
         raise InputError("graph carries no labels to write")
     nodes = np.flatnonzero(g.labels >= 0)
-    groups = g.labels[nodes]
-    if g.sublabels is None:
-        text = "node_id,group_id\n" + _format_rows("%d,%d\n", nodes, groups)
-    else:
-        subs = g.sublabels[nodes]
-        subs = np.where(subs >= 0, subs.astype(str), "")  # an empty cell for -1
-        text = "node_id,group_id,subgroup_id\n" + _format_rows("%d,%d,%s\n", nodes, groups, subs)
-    Path(path).write_text(text)
+    columns = [nodes, g.labels[nodes]] + ([] if g.sublabels is None else [g.sublabels[nodes]])
+    head = "node_id,group_id" + ("" if g.sublabels is None else ",subgroup_id")
+    Path(path).write_text(head + "\n" + _g17_rows(*columns))  # an empty cell for subgroup -1
 
 
 def _blank_or_comment(line: str) -> bool:
@@ -289,10 +284,10 @@ def parse_labels(path, n: int):
     return labels, (sublabels if (sublabels >= 0).any() else None)
 
 
-def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-> (order, again): the stable lexsort of the pairs (a, b), and whether
-    each pair occurs at an earlier index."""
-    order = np.lexsort((b, a))
+def _repeats(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-> (order, again): the stable lexsort of the pairs (a, b) of nodes
+    0..n-1, and whether each pair occurs at an earlier index."""
+    order = _pair_order(n, a, b)
     a, b = a[order], b[order]
     again = np.zeros(order.size, dtype=bool)
     again[order[1:]] = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
@@ -314,13 +309,13 @@ def parse_graph(path, label_path=None) -> WeightedGraph:
             e = int(np.argmax(w < 0))
             raise NegativeWeight(int(lo[e]), int(hi[e]))
     else:
-        order, again = _repeats(lo, hi)
+        order, again = _repeats(n, lo, hi)
         conflict = np.zeros_like(again)
         if symmetry == "symmetric":
             dup = again
         else:
             # a key's second entry is its mirror (or a duplicate, which wins)
-            dup = _repeats(i, j)[1]
+            dup = _repeats(n, i, j)[1]
             ws = w[order]
             conflict[order[1:]] = ws[1:] != ws[:-1]
             conflict &= again
@@ -359,9 +354,9 @@ def parse_migration(flows_path, populations_path) -> MigrationInput:
     if field != "integer":
         raise ParseError("flow matrix must use the integer field", line=1)
     lo, hi = _canonical_pairs(i, j)
-    order, again = _repeats(lo, hi)
+    order, again = _repeats(n, lo, hi)
     # symmetric storage keys a flow by its unordered pair, general by (row, col)
-    a, b, dup = (lo, hi, again) if symmetry == "symmetric" else (i, j, _repeats(i, j)[1])
+    a, b, dup = (lo, hi, again) if symmetry == "symmetric" else (i, j, _repeats(n, i, j)[1])
     defects = np.stack([i == j, dup, np.abs(w) >= 2.0**63])
     if defects.any():
         e = int(defects.any(axis=0).argmax())
@@ -507,6 +502,8 @@ def _json_text(obj) -> str:
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items())
         return "{" + inner + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":  # in one join
+        return "[" + ", ".join(map(str, obj.tolist())) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -520,15 +517,16 @@ def ipr_csv(basis: Eigenbasis, curve) -> str:
 
 
 # The eigvec_<r>.csv bodies, two floats per node and rank, are most of a
-# report's bytes. _g17_rows writes them with numpy, byte for byte as '%.17g'
-# does. For 1e-300 <= |x| < 1 and E = floor(log10 |x|), the 17 digits are
+# report's bytes, and the edge lists most of a generated graph's. _g17_rows
+# writes them with numpy, byte for byte as '%d' and '%.17g' do. For
+# 1e-300 <= |x| < 1 and E = floor(log10 |x|), the 17 digits are
 # |x| 10^(16-E), a number in [1e16, 1e17), rounded half-even to an integer.
 # The product is a double-double from Dekker's TwoProduct: 10^(16-E) is
 # (hi + lo) 2^s, exact to about 2^-106, with hi split by Veltkamp in the
 # tables, and |x| 2^s is an exact scaling. It is off by less than 1e-14, so
-# a fraction further than 1e-9 from one half rounds the right way. Zeros are
-# written here too; a value nearer a tie, and any other |x| outside that
-# range, goes to _g17_slow.
+# a fraction further than 1e-9 from one half rounds the right way. Whole
+# numbers below 1e17 (zeros too) are written as their integer digits; a value
+# nearer a tie, and any other |x|, goes to _g17_slow.
 
 _G17_BLOCK = 8192  # rows per record block
 
@@ -542,38 +540,42 @@ def _words(texts, width: int = 8, right: bool = False) -> np.ndarray:
 
 @cache
 def _g17_tables() -> dict:
-    """The tables of _g17_field and _g17_rows, built on first use. A
-    field's lead word is ',', the sign and what comes before digit d1,
-    right-aligned; its code is (layout * 2 + sign) * 10 + d0, where layout
-    0-3 is 0.(layout zeros)d0, 4 is d0., 5 is d0 alone and 6 is a zero.
-    The masks keep a prefix (of digits) or a suffix (of a row number)."""
-    # 10^p = (hi + lo) 2^s with hi in [1, 2); int / int rounds correctly
+    """The digit tables of _g17_rows, built on first use. A float field's
+    lead word is the sign and what comes before digit d1, right-aligned; its
+    code is (layout * 2 + sign) * 10 + d0, where layout 0-3 is
+    0.(layout zeros)d0, 4 is d0. and 5 is d0 alone. The masks keep a
+    prefix (of digits) or a suffix (of an integer)."""
+    i = np.arange(10000)
+    four = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")).astype(np.uint8)
+    lead = [sign + ([b"0." + b"0" * layout + d0] * 4 + [d0 + b".", d0])[layout]
+            for layout in range(6) for sign in (b"", b"-") for d0 in (b"%d" % d for d in range(10))]
+    return {
+        "four": four.view(np.uint32)[:, 0],
+        "zeros": np.sum([i % 10**k == 0 for k in range(1, 5)], axis=0),  # trailing, of each 4 digits
+        "prefix": _words([b"\xff" * j for j in range(17)], 16).view(np.complex128)[:, 0],  # 16-byte items
+        "suffix": _words([b"\xff" * j for j in range(9)], right=True)[:, 0],
+        "lead": _words(lead, right=True)[:, 0],
+        "minus": _words([b"-"], right=True)[0, 0],
+        "exp": _words([b"e-%02d" % m if m >= 5 else b"" for m in range(320)])[:, 0],
+    }
+
+
+@cache
+def _g17_powers() -> dict:
+    """10^p = (hi + lo) 2^s with hi in [1, 2), for p < 320; int / int rounds
+    correctly. Only a field with a value in [1e-300, 1) builds them."""
     shift = [(10**p).bit_length() - 1 for p in range(320)]
     hi = [10**p / (1 << s) for p, s in enumerate(shift)]
     lo = [(10**p * 2**52 - int(h * 2**52) * (1 << s)) / (1 << (s + 52))
           for p, (s, h) in enumerate(zip(shift, hi))]
     hi = np.array(hi)
     split = hi * 134217729.0  # Veltkamp: 2^27 + 1
-    four = [b"%04d" % i for i in range(10000)]
-    lead = [b"," + sign + ([b"0." + b"0" * layout + d0] * 4 + [d0 + b".", d0, b"0"])[layout]
-            for layout in range(7) for sign in (b"", b"-") for d0 in (b"%d" % d for d in range(10))]
-    return {
-        "shift": np.array(shift),
-        "hi": hi,
-        "hi_hi": split - (split - hi),
-        "lo": np.array(lo),
-        "four": np.frombuffer(b"".join(four), np.uint32),
-        "zeros": np.array([4 - len(t.rstrip(b"0")) for t in four]),  # trailing, of each 4 digits
-        "prefix": _words([b"\xff" * j for j in range(17)], 16).view(np.complex128)[:, 0],  # 16-byte items
-        "suffix": _words([b"\xff" * j for j in range(9)], right=True)[:, 0],
-        "lead": _words(lead, right=True)[:, 0],
-        "exp": _words([b"e-%02d" % m if m >= 5 else b"" for m in range(320)])[:, 0],
-    }
+    return {"shift": np.array(shift), "hi": hi, "hi_hi": split - (split - hi), "lo": np.array(lo)}
 
 
-def _g17_scale(a: np.ndarray, e: np.ndarray, t: dict):
+def _g17_scale(a: np.ndarray, e: np.ndarray):
     """-> (ph, pl): a 10^(16-e) as the double-double ph + pl."""
-    p = 16 - e
+    p, t = 16 - e, _g17_powers()
     y = np.ldexp(a, t["shift"][p])  # exact: a is normal, and so is y
     split = y * 134217729.0
     y_hi = split - (split - y)
@@ -585,22 +587,11 @@ def _g17_scale(a: np.ndarray, e: np.ndarray, t: dict):
     return ph, pl
 
 
-def _g17_slow(values: np.ndarray) -> list[str]:
-    """'%.17g' % x for each value x: the values _g17_field does not write."""
-    return ["%.17g" % x for x in values.tolist()]
-
-
-def _g17_field(x: np.ndarray, rec: np.ndarray) -> None:
-    """Write ',' and '%.17g' % x[i] into row i of rec, a (len(x), 4) uint64
-    view, as the lead word, the digits d1..d16 and the exponent word, with
-    NULs in the bytes to drop."""
-    t = _g17_tables()
-    ax = np.abs(x)
-    zero = ax == 0.0
-    fast = (ax >= 1e-300) & (ax < 1.0)
-    a = np.where(fast, ax, 0.5)  # a stand-in that keeps the arithmetic finite
+def _g17_fraction(a: np.ndarray):
+    """-> (n, e, tie) for each a in [1e-300, 1): its 17 digits n, rounded
+    half-even, E = e, and whether it lies within 1e-9 of a rounding tie."""
     e = np.floor(np.log10(a)).astype(np.int64)  # may miss by one next to a power of ten
-    ph, pl = _g17_scale(a, e, t)
+    ph, pl = _g17_scale(a, e)
     edge = np.flatnonzero((ph <= 1e16) | (ph >= 1e17))
     while edge.size:  # until ph + pl lies in [1e16, 1e17), where ph is a whole number
         hi, lo = ph[edge], pl[edge]
@@ -608,52 +599,93 @@ def _g17_field(x: np.ndarray, rec: np.ndarray) -> None:
         step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
         edge = edge[step != 0]
         e[edge] += step[step != 0]
-        ph[edge], pl[edge] = _g17_scale(a[edge], e[edge], t)
+        ph[edge], pl[edge] = _g17_scale(a[edge], e[edge])
     whole = np.floor(pl)
     frac = pl - whole
-    n = ph.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    slow = ~zero & (~fast | (np.abs(frac - 0.5) < 1e-9))
-    carry = n == 10**17  # rounded up into the next decade
-    n[carry] = 10**16
-    e += carry
-    d0 = n // 10**16
-    upper, lower = np.divmod(n - d0 * 10**16, 10**8)
-    chunks = np.stack([upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4], axis=1)
-    z = t["zeros"][chunks.T]  # trailing zeros of each 4 digits, 4 for 0000
-    last = 16 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])))  # d1..d_last stay
-    layout = np.where(e >= -4, -1 - e, 5 - (last > 0))
-    layout[zero] = 6
-    rec[:, 0] = t["lead"][(layout * 2 + np.signbit(x)) * 10 + d0]
-    rec[:, 1:3] = t["four"][chunks].view(np.uint64) & t["prefix"][last].view(np.uint64).reshape(-1, 2)
-    rec[:, 3] = t["exp"][-e]
-    rows = np.flatnonzero(slow)
-    for i, text in zip(rows.tolist(), _g17_slow(x[rows])):
-        rec[i] = _words([b"," + text.encode()], 32)
+    return ph.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5), e, np.abs(frac - 0.5) < 1e-9
 
 
-def _g17_rows(*columns: np.ndarray) -> str:
-    """"%d,%.17g,...,%.17g\n" % (i, columns[0][i], ...) for each row i.
+def _g17_slow(values: np.ndarray) -> str:
+    """'%.17g' % x for each value x, right-aligned in 24 characters, the
+    longest it prints: the values _g17_field does not write, in one %-operation."""
+    return ("%24.17g" * values.size) % tuple(values.tolist())
 
-    A block of rows is a record of uint64 words per row: the row number
-    right-aligned, four words per column (_g17_field) and the newline. One
-    boolean mask over the block's bytes drops the NULs.
-    """
+
+def _whole(x: np.ndarray) -> np.ndarray:
+    """Whether each x is a whole number below 1e17: '%.17g' prints its integer digits."""
+    return (np.floor(x) == x) & (x < 1e17)
+
+
+def _g17_field(x: np.ndarray, rec: np.ndarray, t: dict) -> None:
+    """Write '%.17g' % x[i] into row i of rec, a (len(x), 4) uint64 view, as
+    the lead word, the digits d1..d16 and the exponent word, with NULs in the
+    bytes to drop and in byte 0, which is left for a separator."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-300) & (ax < 1.0)
+    if fast.any():
+        n, e, tie = _g17_fraction(np.where(fast, ax, 0.5))
+        fast &= ~tie
+        carry = n == 10**17  # rounded up into the next decade
+        n[carry] = 10**16
+        e += carry
+        d0 = n // 10**16
+        upper, lower = np.divmod(n - d0 * 10**16, 10**8)
+        chunks = np.stack([upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4], axis=1)
+        z = t["zeros"][chunks.T]  # trailing zeros of each 4 digits, 4 for 0000
+        last = 16 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])))  # d1..d_last stay
+        layout = np.where(e >= -4, -1 - e, 5 - (last > 0))
+        rec[:, 0] = t["lead"][(layout * 2 + np.signbit(x)) * 10 + d0]
+        rec[:, 1:3] = t["four"][chunks].view(np.uint64) & t["prefix"][last].view(np.uint64).reshape(-1, 2)
+        rec[:, 3] = t["exp"][-e]
+    rows = np.flatnonzero(~fast)
+    whole = _whole(ax[rows])  # zeros too
+    ints, rows = rows[whole], rows[~whole]
+    if ints.size:  # the sign, then the digits
+        words = np.empty((ints.size, 4), np.uint64)
+        _int_field(ax[ints].astype(np.int64), words[:, 1:], t)
+        words[:, 0] = t["minus"] * np.signbit(x[ints])
+        rec[ints] = words
+    if rows.size:  # right-aligned, the padding spaces turned into NULs
+        text = np.frombuffer(_g17_slow(x[rows]).encode(), np.uint8)
+        rec[rows] = np.pad(np.where(text == ord(" "), 0, text).reshape(-1, 24), ((0, 0), (8, 0))).view(np.uint64)
+
+
+def _int_field(v: np.ndarray, rec: np.ndarray, t: dict) -> None:
+    """Write '%d' % v[i] (nothing for -1) right-aligned into row i of rec, a
+    (len(v), W) uint64 view, most significant word first."""
+    top = len(str(v.max(initial=0)))  # digits of the largest value
+    digits = np.searchsorted(10 ** np.arange(1, top), v, side="right") + (v >= 0)
+    first = rec.shape[1] - (top + 7) // 8  # the first word that holds a digit
+    rec[:, :first] = 0
+    half = rec.view(np.uint32)  # 4 digits each
+    for w in range(first, rec.shape[1]):
+        below = 8 * (rec.shape[1] - 1 - w)
+        eight = v // 10**below % 10**8 if top > 8 else v
+        half[:, 2 * w], half[:, 2 * w + 1] = (t["four"][q] for q in np.divmod(eight, 10**4))
+        rec[:, w] &= t["suffix"][np.clip(digits - below, 0, 8)]
+
+
+def _g17_rows(*columns: np.ndarray, sep: str = ",") -> str:
+    """sep.join(fields) + "\n" for each row: '%d' % v of an integer column's
+    v >= 0 (empty for -1), '%.17g' % x of a float column's x, which is written
+    as the integers it holds if they are all whole and >= 0. A block of rows is
+    a record of uint64 words per row: per column the words of _int_field (as
+    many as its largest value needs) or _g17_field, with byte 0 free for the
+    separator, then the newline. One boolean mask over the bytes drops the NULs."""
     t = _g17_tables()
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    n = len(columns[0])
-    id_words = (len(str(max(n - 1, 0))) + 7) // 8
+    columns = [c if c.dtype.kind == "f" and (np.signbit(c).any() or not _whole(c).all())
+               else c.astype(np.int64, copy=False) for c in columns]
+    widths = [4 if c.dtype.kind == "f" else (len(str(c.max(initial=0))) + (j > 0) + 7) // 8
+              for j, c in enumerate(columns)]
+    starts = np.cumsum([0] + widths)
+    sep_word = np.frombuffer(sep.encode().ljust(8, b"\0"), np.uint64)[0]
     pieces = []
-    for a in range(0, n, _G17_BLOCK):
-        ids = np.arange(a, min(a + _G17_BLOCK, n))
-        rec = np.empty((ids.size, id_words + 4 * len(columns) + 1), np.uint64)
-        digits = 1 + np.searchsorted(10 ** np.arange(1, 19), ids, side="right")
-        for w in range(id_words):  # most significant first
-            below = 8 * (id_words - 1 - w)
-            eight = ids // 10**below % 10**8
-            rec[:, w] = t["four"][np.stack([eight // 10**4, eight % 10**4], axis=1)].view(np.uint64)[:, 0]
-            rec[:, w] &= t["suffix"][np.clip(digits - below, 0, 8)]
+    for a in range(0, len(columns[0]), _G17_BLOCK):
+        rec = np.empty((len(columns[0][a : a + _G17_BLOCK]), starts[-1] + 1), np.uint64)
         for j, col in enumerate(columns):
-            _g17_field(col[a : a + ids.size], rec[:, id_words + 4 * j : id_words + 4 * j + 4])
+            words = rec[:, starts[j] : starts[j + 1]]
+            (_g17_field if col.dtype.kind == "f" else _int_field)(col[a : a + len(rec)], words, t)
+            words[:, 0] |= sep_word if j else np.uint64(0)
         rec[:, -1] = ord("\n")  # one nonzero byte, on either byte order
         raw = rec.view(np.uint8)
         pieces.append(raw[raw != 0].tobytes())
@@ -662,7 +694,7 @@ def _g17_rows(*columns: np.ndarray) -> str:
 
 def eigvec_csv(v: np.ndarray) -> str:
     """eigvec_<rank>.csv: node,value,csl for each node of a unit eigenvector."""
-    return "node,value,csl\n" + _g17_rows(v, csl(v))
+    return "node,value,csl\n" + _g17_rows(np.arange(v.size), v, csl(v))
 
 
 def transition_json(t: TransitionReport, window: int, tau: float) -> str:
@@ -674,7 +706,7 @@ def transition_json(t: TransitionReport, window: int, tau: float) -> str:
 def partition_json(rank: int, p: Partition) -> str:
     """One sweep cut as a JSON object: the sweep command prints it, and
     partitions.json lists one per requested rank."""
-    return _json_text({"rank": rank, "conductance": p.conductance, "side": [int(x) for x in p.side]})
+    return _json_text({"rank": rank, "conductance": p.conductance, "side": p.side.astype(np.int64)})
 
 
 def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> str:

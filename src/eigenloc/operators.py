@@ -81,7 +81,7 @@ class WeightedGraph:
         # pairs already strictly increasing (as parse_graph passes them) are
         # kept as they are; anything else is sorted and scanned for repeats
         if not _sorted_distinct(lo, hi):
-            order = np.lexsort((hi, lo))
+            order = _pair_order(self.n, lo, hi)
             lo, hi, w = lo[order], hi[order], w[order]
             dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
             if np.any(dup):
@@ -199,6 +199,11 @@ def _canonical_pairs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _sorted_distinct(lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether the pairs (lo[e], hi[e]) strictly increase, so are sorted and distinct."""
     return bool(((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all())
+
+
+def _pair_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.lexsort((b, a)) for nodes 0..n-1: a stable argsort of a * n + b while n * n fits int64."""
+    return np.argsort(a * n + b, kind="stable") if n * n <= 2**63 else np.lexsort((b, a))
 
 
 def _label_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:

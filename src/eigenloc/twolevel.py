@@ -142,14 +142,15 @@ def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 
 def _er_pairs(rng, nodes: np.ndarray, p: float):
     """Bernoulli(p) over unordered pairs, upper-triangle index order."""
-    n = nodes.size
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < p
-    return nodes[iu[mask]], nodes[ju[mask]]
+    n, r = nodes.size, np.arange(nodes.size)
+    k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)  # flat indices: no n^2/2 index arrays
+    starts = r * (2 * n - 1 - r) // 2  # row i's first flat index
+    i = np.searchsorted(starts, k, side="right") - 1
+    return nodes[i], nodes[k - starts[i] + i + 1]
 
 
 def _bipartite_pairs(rng, a: np.ndarray, b: np.ndarray, p: float):
-    ia, ib = np.nonzero(rng.random((a.size, b.size)) < p)
+    ia, ib = np.divmod(np.flatnonzero(rng.random((a.size, b.size)) < p), b.size)
     return a[ia], b[ib]
 
 

@@ -706,3 +706,16 @@ def test_post_solve_memory_budget(monkeypatch):
         tracemalloc.stop()
     assert basis.vectors.tobytes() == ref.vectors.tobytes()
     assert peak <= 64 * g.n, f"peak {peak} B, budget {64 * g.n} B"
+
+
+def test_sign_flip_leaves_no_negative_zero():
+    # an exact zero stays +0.0 when its vector is flipped, so a report never
+    # prints "-0" for a node off the vector's component
+    x = np.array([0.0, -2.0, 1.0, 0.0])
+    eigensolver._sign_normalize(x)
+    assert x.tolist() == [0.0, 2.0, -1.0, 0.0] and not np.signbit(x[[0, 3]]).any()
+    g = generate_bead_chain(TwoLevelSpec((TwoModuleBead(20, 20, 0.5, 0.1),) * 3, PathRandom(0.0), seed=5))
+    basis = spectrum_random_walk(g, 12)
+    V = basis.vectors
+    assert (V == 0.0).any()
+    assert not np.signbit(V[V == 0.0]).any()

@@ -33,6 +33,7 @@ from eigenloc import (
     write_labels,
 )
 from eigenloc import io as eio
+from eigenloc.clustering import Partition
 from eigenloc.errors import (
     AsymmetricFlow,
     DuplicateEdge,
@@ -780,3 +781,10 @@ def test_json_text_refuses_what_json_cannot_spell():
     report = TransitionReport(2, 0.0, float("inf"))
     with pytest.raises(ValueError):
         eio.transition_json(report, 10, 5.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10000])
+def test_partition_json_side_matches_the_element_by_element_text(n):
+    side = np.random.default_rng(n).random(n) < 0.5
+    doc = {"rank": 3, "conductance": 0.125, "side": [int(x) for x in side]}
+    assert eio.partition_json(3, Partition(side, 0.125)) == eio._json_text(doc)

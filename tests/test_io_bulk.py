@@ -2,6 +2,7 @@
 the table-driven spec codec against the per-line, per-value and per-kind
 reference implementations in helpers."""
 import functools
+import itertools
 import json
 import warnings
 from types import SimpleNamespace
@@ -362,7 +363,7 @@ FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x
 def test_g17_rows_match_percent_format_on_raw_bit_patterns(patterns):
     # every finite double: half the exponent field lies in the kernel's 1e-300 <= |x| < 1
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    assert eio._g17_rows(values) == _g17_reference(values)
+    assert eio._g17_rows(np.arange(values.size), values) == _g17_reference(values)
 
 
 def _ulps(x, steps):
@@ -382,13 +383,19 @@ def test_g17_rows_match_percent_format_on_edge_values(slow_values):
         edge += _ulps(float(f"1e{e}"), 2) + [float(f"9.99999999999999995e{e}")]
     edge += _ulps(1e-5, 3) + _ulps(1e-4, 3)  # where %g switches from fixed to exponent notation
     edge += [1e-99, 1.2345e-99, 1e-100, 9.87654321e-100]  # 2- and 3-digit exponents
+    whole = [2.0, 10.0, 99999999.0, 100000000.0, 2.0**53, 1e16, 99999999999999984.0]  # below 1e17
+    edge += whole
     # exact ties: x 10^(16 - E) ends in .5 for x = m 2^-(17 - E), m odd
     odd = {-1: (26215, 99999, 262143), -2: (5243, 31111), -5: (43, 419)}
     ties = [m / 2.0 ** (17 - e) for e, ms in odd.items() for m in ms]
     values = np.array(edge + ties + [-x for x in edge + ties])
-    assert eio._g17_rows(values) == _g17_reference(values)
+    assert eio._g17_rows(np.arange(values.size), values) == _g17_reference(values)
     assert set(ties) <= set(slow_values)  # within 1e-9 of a tie: left to '%.17g'
     assert 0.0 not in slow_values  # zeros are the kernel's own
+    assert not {abs(x) for x in slow_values} & set(whole)  # and so are whole numbers
+    for column in ([-0.0, 1.0, 2.0], [0.0, -1.0, 3.0], [0.0, 1.0, 1e16]):  # a -0 keeps its sign
+        values = np.array(column)
+        assert eio._g17_rows(np.arange(3), values) == _g17_reference(values)
 
 
 def test_g17_rows_take_no_fallback_on_a_dense_mid_chain_report(slow_values):
@@ -578,3 +585,86 @@ def test_spec_to_json_matches_reference_on_built_specs(spec):
     doc = spec_to_json(spec)
     assert repr(doc) == repr(ref_spec_to_json(spec))
     assert spec_from_json(json.dumps(doc)) == spec
+
+
+# ------------------------------------------- graph and label bodies by the kernel
+
+WEIGHTS = [1.0, 2.0, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, 1e17, 1.5, 1 / 3, 5e-324, 1e-300,
+           0.9999999999999999, 1.7976931348623157e308]
+# where a digit word of the kernel ends: 8 digits fill one uint64 word
+GROUP_IDS = [-1, 0, 9, 10, 99_999_999, 100_000_000, 9_999_999_999_999_999, 2**63 - 1]
+
+
+def _percent_graph(g) -> str:
+    return ("%%MatrixMarket matrix coordinate real symmetric\n" f"{g.n} {g.n} {g.edge_count}\n"
+            + eio._format_rows("%d %d %.17g\n", g.cols + 1, g.rows + 1, g.weights))
+
+
+def _percent_labels(g) -> str:
+    nodes = np.flatnonzero(g.labels >= 0)
+    if g.sublabels is None:
+        return "node_id,group_id\n" + eio._format_rows("%d,%d\n", nodes, g.labels[nodes])
+    subs = g.sublabels[nodes]
+    subs = np.where(subs >= 0, subs.astype(str), "")  # an empty cell for -1
+    return "node_id,group_id,subgroup_id\n" + eio._format_rows("%d,%d,%s\n", nodes, g.labels[nodes], subs)
+
+
+def _check_percent_writers(g, path):
+    write_graph(g, path)
+    assert path.read_text() == _percent_graph(g)
+    if g.labels is not None:
+        write_labels(g, path)
+        assert path.read_text() == _percent_labels(g)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_graph_and_label_writers_match_percent_templates(tmp_path, data):
+    n = data.draw(st.integers(2, 30))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))),
+                               unique=True, max_size=60))
+    weight = st.sampled_from(WEIGHTS) | st.floats(min_value=5e-324, allow_infinity=False)
+    w = data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    ids = st.sampled_from(GROUP_IDS) | st.integers(-1, 2**63 - 1)
+    labels = data.draw(st.lists(ids, min_size=n, max_size=n))
+    subs = data.draw(st.none() | st.lists(ids, min_size=n, max_size=n))
+    ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = WeightedGraph(n, ij[:, 0], ij[:, 1], np.array(w), np.array(labels),
+                      None if subs is None else np.array(subs))
+    _check_percent_writers(g, tmp_path / "g.txt")
+
+
+def test_graph_and_label_writers_match_percent_templates_on_a_fixed_edge_list(tmp_path):
+    # written node ids 9/10 and 99,999,999/100,000,000, one edge per weight
+    nodes = [0, 8, 9, 10, 99_999_998, 99_999_999]
+    pairs = list(itertools.combinations(nodes, 2))[: len(WEIGHTS)]
+    g = WeightedGraph(10**8 + 1, [i for i, _ in pairs], [j for _, j in pairs], WEIGHTS)
+    _check_percent_writers(g, tmp_path / "g.txt")
+    slow = [1.5, 1e17, 3.25, 1e-310, 1.7976931348623157e308, 12345.678]  # no weight the kernel writes
+    _check_percent_writers(WeightedGraph(7, np.arange(6), np.arange(1, 7), slow), tmp_path / "g.txt")
+    labels = np.array(GROUP_IDS[1:] + [3, 4])
+    g = WeightedGraph(9, [0], [1], [1.0], labels, np.array(GROUP_IDS + [7]))  # sublabel -1: empty cell
+    _check_percent_writers(g, tmp_path / "g.txt")
+
+
+def test_graph_and_label_writers_match_percent_templates_beyond_one_block(tmp_path):
+    n = eio._G17_BLOCK + 1000
+    w = np.resize(WEIGHTS, n - 1)
+    sublabels = np.resize(GROUP_IDS, n)
+    g = WeightedGraph(n, np.arange(n - 1), np.arange(1, n), w, np.arange(n) % 97, sublabels)
+    _check_percent_writers(g, tmp_path / "g.txt")
+    g = WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1), np.arange(n) % 97)
+    _check_percent_writers(g, tmp_path / "g.txt")
+
+
+def test_generated_chain_is_written_without_the_fallback_or_the_float_tables(tmp_path, slow_values):
+    # a drift back to '%.17g' per edge shows as a count here, not only as time
+    g = generate_bead_chain(
+        TwoLevelSpec((TwoModuleBead(50, 50, 0.2, 0.02),) * 20, PathRandom(0.01), seed=7)
+    )
+    eio._g17_powers.cache_clear()
+    _check_percent_writers(g, tmp_path / "g.txt")
+    assert g.edge_count > eio._G17_BLOCK
+    assert slow_values == []
+    assert eio._g17_powers.cache_info().currsize == 0  # unit weights need no powers of ten

@@ -21,6 +21,8 @@ from eigenloc.errors import (
     NonpositivePopulation,
     SizeMismatch,
 )
+from eigenloc import io as eio
+from eigenloc.operators import _pair_order
 from helpers import graph_from_dense, path_graph, random_connected_graph
 
 
@@ -509,3 +511,34 @@ def test_long_path_components_within_budget(order):
     assert elapsed < 2.0, f"components and degrees took {elapsed:.2f} s"  # about 0.1 s on 2 vCPUs
     assert count == 1 and not labels.any()
     assert_matches_scipy(g)
+
+
+KEY_LIMIT = 3037000499  # the largest n with n * n <= 2^63: above it, no int64 key
+
+
+@st.composite
+def _node_pairs(draw):
+    """(n, pairs): pairs of nodes near 0 and near n - 1, some drawn twice."""
+    n = draw(st.sampled_from([1, 2, 50, KEY_LIMIT, KEY_LIMIT + 1, 2**40, 2**63 - 1]))
+    node = st.integers(0, min(n - 1, 3)) | st.integers(max(n - 4, 0), n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_pairs())
+@example((KEY_LIMIT, [(KEY_LIMIT - 1, KEY_LIMIT - 1), (0, 1), (KEY_LIMIT - 1, 0), (0, 1)]))
+@example((KEY_LIMIT + 1, [(KEY_LIMIT, KEY_LIMIT), (0, KEY_LIMIT), (0, KEY_LIMIT), (KEY_LIMIT, 0)]))
+def test_pair_order_is_the_stable_lexsort(case):
+    # the one-key argsort of WeightedGraph and of the MatrixMarket parse
+    # paths, with repeated pairs and at n beyond the int64 key limit
+    n, pairs = case
+    a = np.array([i for i, _ in pairs], dtype=np.int64)
+    b = np.array([j for _, j in pairs], dtype=np.int64)
+    expected = np.lexsort((b, a))
+    assert np.array_equal(_pair_order(n, a, b), expected)
+    order, again = eio._repeats(n, a, b)
+    assert np.array_equal(order, expected)
+    assert again.tolist() == [tuple(p) in pairs[:e] for e, p in enumerate(pairs)]

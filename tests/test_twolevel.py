@@ -19,6 +19,7 @@ from eigenloc import (
     spectrum_random_walk,
     tensor_block,
 )
+from eigenloc import twolevel
 from eigenloc.errors import InputError, UnequalBeadSizes
 from helpers import complete_graph
 
@@ -271,3 +272,19 @@ def test_bead_size_limit():
 def test_identity_coupling_must_be_finite(eps):
     with pytest.raises(InputError):
         PathIdentity(eps)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50, 251])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_pair_draws_match_the_index_array_reference(size, p):
+    # the pairs come from flat indices of the draw; the reference builds the
+    # full index arrays the draw covers, so the stream and the order are the same
+    nodes = np.arange(size) + 7
+    iu, ju = np.triu_indices(size, 1)
+    mask = np.random.default_rng(3).random(iu.size) < p
+    er = twolevel._er_pairs(np.random.default_rng(3), nodes, p)
+    assert all(np.array_equal(a, b) for a, b in zip(er, (nodes[iu[mask]], nodes[ju[mask]])))
+    other = np.arange(size + 2) + 1000
+    ia, ib = np.nonzero(np.random.default_rng(4).random((size, size + 2)) < p)
+    bi = twolevel._bipartite_pairs(np.random.default_rng(4), nodes, other, p)
+    assert all(np.array_equal(a, b) for a, b in zip(bi, (nodes[ia], other[ib])))
