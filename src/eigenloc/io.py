@@ -46,22 +46,6 @@ if TYPE_CHECKING:
     from .eigensolver import Eigenbasis
 
 
-def _format_rows(template: str, *columns) -> str:
-    """Format parallel columns, one `template` (e.g. "%d,%.17g\\n") per row.
-
-    The whole body is one %-operation over the row-major flattened values.
-    %.17g prints a float exactly as format(x, ".17g") does.
-    """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    if not cols:
-        return ""
-    rows, width = len(cols[0]), len(cols)
-    flat = [None] * (rows * width)
-    for c, col in enumerate(cols):
-        flat[c::width] = col
-    return (template * rows) % tuple(flat)
-
-
 def _read_text(path) -> str:
     """The file as UTF-8 text with universal newlines, as Path.read_text()
     gives it, less a leading byte order mark; a byte sequence that is not
@@ -509,16 +493,9 @@ def _json_text(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def ipr_csv(basis: Eigenbasis, curve) -> str:
-    """ipr.csv: rank,eigenvalue,ipr,degenerate_flag per rank; curve = ipr_curve(basis)."""
-    return "rank,eigenvalue,ipr,degenerate_flag\n" + _format_rows(
-        "%d,%.17g,%.17g,%d\n", range(basis.k), basis.lambdas, curve, basis.degenerate
-    )
-
-
-# The eigvec_<r>.csv bodies, two floats per node and rank, are most of a
-# report's bytes, and the edge lists most of a generated graph's. _g17_rows
-# writes them with numpy, byte for byte as '%d' and '%.17g' do. For
+# _g17_rows writes the body of every CSV, byte for byte as '%d' and '%.17g'
+# do: the eigvec_<r>.csv bodies (most of a report's bytes), the edge and
+# label rows, and the small report tables. For
 # 1e-300 <= |x| < 1 and E = floor(log10 |x|), the 17 digits are
 # |x| 10^(16-E), a number in [1e16, 1e17), rounded half-even to an integer.
 # The product is a double-double from Dekker's TwoProduct: 10^(16-E) is
@@ -526,7 +503,9 @@ def ipr_csv(basis: Eigenbasis, curve) -> str:
 # tables, and |x| 2^s is an exact scaling. It is off by less than 1e-14, so
 # a fraction further than 1e-9 from one half rounds the right way. Whole
 # numbers below 1e17 (zeros too) are written as their integer digits; a value
-# nearer a tie, and any other |x|, goes to _g17_slow.
+# nearer a tie, and any other |x|, goes to _g17_slow, the one '%' over data
+# values left besides _json_text. The tables are cached: emit_report builds
+# them writing spectrum.csv, before it forks its writers, which inherit them.
 
 _G17_BLOCK = 8192  # rows per record block
 
@@ -692,6 +671,12 @@ def _g17_rows(*columns: np.ndarray, sep: str = ",") -> str:
     return b"".join(pieces).decode("ascii")
 
 
+def ipr_csv(basis: Eigenbasis, curve: np.ndarray) -> str:
+    """ipr.csv by the row kernel: rank,eigenvalue,ipr,degenerate_flag; curve = ipr_curve(basis)."""
+    body = _g17_rows(np.arange(basis.k), basis.lambdas, curve, basis.degenerate)
+    return "rank,eigenvalue,ipr,degenerate_flag\n" + body
+
+
 def eigvec_csv(v: np.ndarray) -> str:
     """eigvec_<rank>.csv: node,value,csl for each node of a unit eigenvector."""
     return "node,value,csl\n" + _g17_rows(np.arange(v.size), v, csl(v))
@@ -725,12 +710,24 @@ def restriction_json(rank, group, size, distance, identical, cut_r, cut_l) -> st
 
 
 def _write_ranks(out: Path, report: AnalysisReport, ranks) -> None:
-    """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order."""
-    for rank in ranks:
-        edges, counts = report.hists[rank].bin_edges, report.hists[rank].counts
-        bins = _format_rows("%.17g,%.17g,%d\n", edges[:-1], edges[1:], counts)
-        (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
-        (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + bins)
+    """Write eigvec_<r>.csv and hist_<r>.csv for each rank r in order. The
+    hist bodies of a run of ranks, at most _G17_BLOCK rows or else one rank,
+    come from one _g17_rows call cut at each rank's rows: a call per rank
+    would cost more than its few dozen rows."""
+    ranks = list(ranks)
+    rows = np.cumsum([0] + [report.hists[r].counts.size for r in ranks])  # before each rank
+    first = 0
+    while first < len(ranks):
+        stop = max(first + 1, np.searchsorted(rows, rows[first] + _G17_BLOCK, "right") - 1)
+        run = ranks[first:stop]
+        columns = zip(*((h.bin_edges[:-1], h.bin_edges[1:], h.counts) for h in (report.hists[r] for r in run)))
+        body = _g17_rows(*map(np.concatenate, columns))  # bin_lo, bin_hi, count
+        ends = np.flatnonzero(np.frombuffer(body.encode(), np.uint8) == ord("\n")) + 1
+        cuts = [0, *ends[rows[first + 1 : stop + 1] - rows[first] - 1].tolist()]
+        for rank, a, b in zip(run, cuts, cuts[1:]):
+            (out / f"eigvec_{rank}.csv").write_text(eigvec_csv(report.basis.vectors[:, rank]))
+            (out / f"hist_{rank}.csv").write_text("bin_lo,bin_hi,count\n" + body[a:b])
+        first = stop
 
 
 def _fork_writer(out: Path, report: AnalysisReport, ranks) -> int:
@@ -768,7 +765,7 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
     nworkers = min(cpus, basis.k)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        spectrum = _format_rows("%d,%.17g,%.17g\n", range(basis.k), basis.lambdas, report.sq_spectrum)
+        spectrum = _g17_rows(np.arange(basis.k), basis.lambdas, report.sq_spectrum)
         (out / "spectrum.csv").write_text("rank,eigenvalue,sq_spectrum_frac\n" + spectrum)
         (out / "ipr.csv").write_text(ipr_csv(basis, report.curve))
         pids, failed = [], False
@@ -783,7 +780,7 @@ def emit_report(report: AnalysisReport, out_dir) -> list[Path]:
                 failed |= os.waitpid(pid, 0)[1] != 0
         if failed:  # the single-process write, which raises at the first failed write
             _write_ranks(out, report, range(basis.k))
-        groups = _format_rows("%d,%d,%.17g,%.17g\n", *zip(*(report.group_table or ())))
+        groups = _g17_rows(*map(np.array, zip(*report.group_table))) if report.group_table else ""
         (out / "groups.csv").write_text("rank,group,l2_frac,l1_frac\n" + groups)
         (out / "transition.json").write_text(transition_json(report.transition, report.window, report.tau))
         parts = ", ".join(partition_json(rank, p) for rank, p in report.partitions)

@@ -114,6 +114,20 @@ def ref_fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def percent_rows(template: str, *columns) -> str:
+    """Parallel columns, one `template` (e.g. "%d,%.17g\\n") per row, in one
+    %-operation over the row-major flattened values: the formatter of the
+    small report tables before the row kernel wrote every CSV body."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if not cols:
+        return ""
+    rows, width = len(cols[0]), len(cols)
+    flat = [None] * (rows * width)
+    for c, col in enumerate(cols):
+        flat[c::width] = col
+    return (template * rows) % tuple(flat)
+
+
 def ref_write_graph(g: WeightedGraph, path) -> None:
     """Symmetric coordinate MatrixMarket, lower triangle, 1-based."""
     lines = ["%%MatrixMarket matrix coordinate real symmetric"]

@@ -1,9 +1,10 @@
-"""Differential tests: bulk MatrixMarket parsing, one-template writers and
+"""Differential tests: bulk MatrixMarket parsing, the row-kernel writers and
 the table-driven spec codec against the per-line, per-value and per-kind
 reference implementations in helpers."""
 import functools
 import itertools
 import json
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -14,12 +15,17 @@ from hypothesis import strategies as st
 
 import eigenloc.diagnostics as diagnostics
 from eigenloc import (
+    AnalysisReport,
+    Eigenbasis,
     ERBead,
     GlobalRandom,
+    Histogram,
+    Partition,
     PathIdentity,
     TwoLevelSpec,
     TwoModuleBead,
     PathRandom,
+    TransitionReport,
     analyze,
     emit_report,
     generate_bead_chain,
@@ -37,6 +43,7 @@ from eigenloc.errors import AsymmetricFlow, InputError, ParseError
 from eigenloc.localization import csl
 from eigenloc.operators import WeightedGraph
 from helpers import (
+    percent_rows,
     ref_emit_report,
     ref_fmt,
     ref_mm_entries,
@@ -322,7 +329,7 @@ def test_writers_match_reference_lanczos_route(tmp_path, monkeypatch):
 
 def test_writers_match_reference_on_special_values(tmp_path):
     vals = np.array(SPECIAL)
-    assert eio._format_rows("%d,%.17g\n", range(vals.size), vals) == "".join(
+    assert eio._g17_rows(np.arange(vals.size), vals) == "".join(
         f"{j},{ref_fmt(x)}\n" for j, x in enumerate(vals)
     )
     v = np.array([1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
@@ -333,6 +340,63 @@ def test_writers_match_reference_on_special_values(tmp_path):
     g = WeightedGraph(6, np.arange(5), np.arange(1, 6), w, np.arange(6) % 2,
                       np.array([3, -1, 1, -1, -1, 0]))
     _check_writers(g, None, tmp_path)
+
+
+def _hand_built_report(k, bins, group_table, transition_rank):
+    """An AnalysisReport of special values on 4 nodes: eigenvalues 1, -0.0
+    and -1, an IPR of exactly 1.0, hist counts 0 and 2^53, and bins[r] rows
+    in rank r's histogram."""
+    half = np.full(4, 0.5)
+    vectors = np.stack([half, half * [1, -1, 1, -1], [1.0, 0.0, -0.0, 0.0]], axis=1)[:, :k]
+    lambdas = np.array([1.0, -0.0, -1.0])[:k]
+    basis = Eigenbasis(lambdas, vectors, np.zeros(k), np.array([0, 1, 1])[:k], tail_cut=k == 1)
+    hists = []
+    for r, nbins in enumerate(bins):
+        edges = np.resize([-1.0, -0.0, 0.0, 1 / 3, 1.0, 2.5, 1e16, 5e-324, -2.2250738585072014e-308],
+                          nbins + 1) * (r + 1)
+        counts = np.roll(np.resize(np.array([0, 2**53, 1, 99_999_999, 100_000_000]), nbins), r)
+        hists.append(Histogram(edges, counts))
+    curve = np.array([0.25, 0.25, 1.0])[:k]
+    baseline = None if transition_rank is None else 0.25
+    return AnalysisReport(
+        basis=basis,
+        sq_spectrum=np.array([0.5, 0.0, 0.5])[:k],
+        curve=curve,
+        hists=tuple(hists),
+        transition=TransitionReport(transition_rank, baseline, None if baseline is None else 4.0),
+        partitions=((0, Partition(np.array([True, False, True, False]), 0.5)),),
+        group_table=group_table,
+        window=1,
+        tau=5.0,
+    )
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_report_writer_matches_reference_on_a_hand_built_report(tmp_path, monkeypatch, cpus):
+    # rank runs cut at their row counts: at 4,000 + 4,000 + 9,000 rows one writer formats
+    # ranks 0 and 1 in one kernel call and rank 2, longer than a block, alone
+    assert 4000 + 4000 <= eio._G17_BLOCK < 4000 + 9000
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    big = 2**63 - 1
+    cases = [
+        (1, [1], None, None),
+        (1, [1], (), 0),
+        (3, [1, 2, 3], ((0, big, 1.0, 1.0), (1, 0, 0.5, 0.25), (2, big, -0.0, 1 / 3)), None),
+        (3, [4000, 4000, 9000], ((0, 7, 0.5, 0.5), (0, big, 0.5, 0.5)), 2),
+    ]
+    rows, g17_rows = [], eio._g17_rows
+
+    def spy(*columns, **kw):  # the row count of each kernel call this process makes
+        rows.append(len(columns[0]))
+        return g17_rows(*columns, **kw)
+
+    monkeypatch.setattr(eio, "_g17_rows", spy)
+    for i, (k, bins, group_table, transition_rank) in enumerate(cases):
+        report = _hand_built_report(k, bins, group_table, transition_rank)
+        new, ref = tmp_path / f"new{i}", tmp_path / f"ref{i}"
+        assert [p.name for p in emit_report(report, new)] == [p.name for p in ref_emit_report(report, ref)]
+        _same_files(new, ref)
+    assert max(rows) == 9000  # no run of ranks beyond a block, unless it is one rank
 
 
 # ------------------------------------------------------ %.17g row kernel
@@ -404,7 +468,7 @@ def test_g17_rows_take_no_fallback_on_a_dense_mid_chain_report(slow_values):
     assert basis.solves == (("lanczos", 4000, 101),)
     for rank in range(basis.k):
         v = basis.vectors[:, rank]
-        assert eio.eigvec_csv(v) == "node,value,csl\n" + eio._format_rows(
+        assert eio.eigvec_csv(v) == "node,value,csl\n" + percent_rows(
             "%d,%.17g,%.17g\n", range(v.size), v, csl(v)
         ), rank
     assert slow_values == []
@@ -597,16 +661,16 @@ GROUP_IDS = [-1, 0, 9, 10, 99_999_999, 100_000_000, 9_999_999_999_999_999, 2**63
 
 def _percent_graph(g) -> str:
     return ("%%MatrixMarket matrix coordinate real symmetric\n" f"{g.n} {g.n} {g.edge_count}\n"
-            + eio._format_rows("%d %d %.17g\n", g.cols + 1, g.rows + 1, g.weights))
+            + percent_rows("%d %d %.17g\n", g.cols + 1, g.rows + 1, g.weights))
 
 
 def _percent_labels(g) -> str:
     nodes = np.flatnonzero(g.labels >= 0)
     if g.sublabels is None:
-        return "node_id,group_id\n" + eio._format_rows("%d,%d\n", nodes, g.labels[nodes])
+        return "node_id,group_id\n" + percent_rows("%d,%d\n", nodes, g.labels[nodes])
     subs = g.sublabels[nodes]
     subs = np.where(subs >= 0, subs.astype(str), "")  # an empty cell for -1
-    return "node_id,group_id,subgroup_id\n" + eio._format_rows("%d,%d,%s\n", nodes, g.labels[nodes], subs)
+    return "node_id,group_id,subgroup_id\n" + percent_rows("%d,%d,%s\n", nodes, g.labels[nodes], subs)
 
 
 def _check_percent_writers(g, path):
