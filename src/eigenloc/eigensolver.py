@@ -193,13 +193,8 @@ def _sparsetools():
 
 class _CSROperator:
     """The n x n float64 CSR matrix (data, indices, indptr) as _normalized_csr
-    returns it, for _lanczos and the residual check.
-
-    A @ x is the product scipy's csr_matrix computes: csr_matvec for a
-    vector and csr_matvecs for an n x r block, into np.zeros outputs and on
-    a C-order copy of a block that is not C-ordered, as csr_matrix's
-    __matmul__ allocates them, so every product is bitwise the same.
-    """
+    returns it, for _lanczos and the residual check. A @ x, for a vector x,
+    is csr_matvec into an np.zeros output: bitwise csr_matrix's product."""
 
     def __init__(self, n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
         self.shape = (n, n)
@@ -207,14 +202,8 @@ class _CSROperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         n = self.shape[0]
-        if x.ndim == 1:
-            y = np.zeros(n)
-            _sparsetools().csr_matvec(n, n, self.indptr, self.indices, self.data, x, y)
-        else:
-            y = np.zeros((n, x.shape[1]))
-            _sparsetools().csr_matvecs(
-                n, n, x.shape[1], self.indptr, self.indices, self.data, x.ravel(), y.ravel()
-            )
+        y = np.zeros(n)
+        _sparsetools().csr_matvec(n, n, self.indptr, self.indices, self.data, x, y)
         return y
 
 
@@ -369,7 +358,7 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
     solve's (route, n, m); m is k + 1, or n when k >= n - 1. Every route
     builds S's CSR; the dense routes scatter it into their n x n block. On
     the Lanczos route Y is the basis itself, cut to its first m rows and
-    transposed, and the residuals are taken eight columns at a time."""
+    transposed, and each residual is one vector product, on a row of Y.T."""
     k = m - 1
     data, indices, indptr = _normalized_csr(n, rows, cols, w, h)
     if m < n and (n > dense_limit or (n >= SUBSET_MIN_N and LANCZOS_RATIO * k <= n)):
@@ -377,7 +366,7 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
         # its GEMVs are too small to share: a second thread spins through every product
         with _blas_threads(1):
             lam, Y = _lanczos(A, m, np.random.default_rng(START_SEED).standard_normal(n))
-        step = 8  # three n x 8 temporaries, not n x m ones, beside the basis
+        resid = np.array([np.linalg.norm(A @ y - t * y) for t, y in zip(lam.tolist(), Y.T)])
     else:
         A = np.zeros((n, n))
         A[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
@@ -392,12 +381,9 @@ def _solve_block(n: int, rows, cols, w, h, m: int, dense_limit: int):
             if m < n:  # only these can enter the merge's top m; keep their order
                 keep = np.sort(np.argsort(-lam, kind="stable")[:m])
                 lam, Y = lam[keep], Y[:, keep]
-        step = m  # the n x m temporaries are small beside A
-    resid = np.empty(m)
-    for a in range(0, m, step):
-        R = A @ Y[:, a : a + step]
-        R -= Y[:, a : a + step] * lam[a : a + step]
-        resid[a : a + step] = np.linalg.norm(R, axis=0)
+        R = A @ Y  # the n x m temporaries are small beside A
+        R -= Y * lam
+        resid = np.linalg.norm(R, axis=0)
     return lam, Y, resid, (route, n, m)
 
 

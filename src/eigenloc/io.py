@@ -89,6 +89,15 @@ def _blank_or_comment(line: str) -> bool:
 _INDEX_MAX = int(np.iinfo(np.int64).max)  # node and group ids are stored as int64
 
 
+def _plain(tokens: list[str]) -> list[str]:
+    """A data line's tokens, or ValueError if one holds "_" or a non-ASCII
+    character: int and float would read "1_2" as 12 and an Arabic-Indic 2 as 2."""
+    text = "".join(tokens)
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return tokens
+
+
 def _mm_preamble(lines: list[str], path):
     """Header and size line -> (field, symmetry, n, m, line number of the size line)."""
     if not lines:
@@ -110,7 +119,7 @@ def _mm_preamble(lines: list[str], path):
         if len(toks) != 3:
             raise ParseError("expected 'rows cols nnz'", line=lineno)
         try:
-            r, c, m = (int(t) for t in toks)
+            r, c, m = (int(t) for t in _plain(toks))
         except ValueError:
             raise ParseError("non-integer size line", line=lineno) from None
         if r != c:
@@ -142,8 +151,8 @@ def _mm_scan(lines: list[str], path):
         if len(toks) != 3:
             raise ParseError("expected 'i j value'", line=lineno)
         try:
-            i, j = int(toks[0]), int(toks[1])
-            w = float(toks[2])
+            i, j, w = _plain(toks)
+            i, j, w = int(i), int(j), float(w)
         except ValueError:
             raise ParseError(f"bad entry {raw.strip()!r}", line=lineno) from None
         if not math.isfinite(w):
@@ -219,8 +228,8 @@ def _node_rows(path, n: int, widths, columns: str, what: str, parse):
     Blank lines are skipped, and so is a first non-blank line whose first
     cell float() rejects (a header); any other line is a data row. parse turns a
     row's cells into (node, *values) or raises ValueError. A column count
-    outside widths, a cell parse rejects, a node outside 0..n-1 or a
-    repeated node is a ParseError naming its line.
+    outside widths, a cell parse or _plain rejects, a node outside 0..n-1 or
+    a repeated node is a ParseError naming its line.
     """
     seen = np.zeros(n, dtype=bool)
     first = True
@@ -238,7 +247,7 @@ def _node_rows(path, n: int, widths, columns: str, what: str, parse):
         if len(cells) not in widths:
             raise ParseError(f"expected {columns}", line=lineno)
         try:
-            node, *values = parse(cells)
+            node, *values = parse(_plain(cells))
         except ValueError:
             raise ParseError(f"bad {what} row {s!r}", line=lineno) from None
         if not 0 <= node < n:

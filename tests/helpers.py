@@ -89,6 +89,35 @@ def hypercube_graph(d: int) -> WeightedGraph:
     return WeightedGraph(2**d, i[keep], j[keep], np.ones(int(keep.sum())))
 
 
+# Exact spectra of S for the symmetric families above, at any size and with
+# no n x n solve: the references for Lanczos-route tests above the dense limit.
+
+def torus_spectrum(r: int, c: int) -> np.ndarray:
+    """S's eigenvalues on torus_graph(r, c), r, c >= 3, descending:
+    (cos 2 pi a / r + cos 2 pi b / c) / 2 over every a < r, b < c."""
+    lam = (np.cos(2 * np.pi * np.arange(r) / r)[:, None] + np.cos(2 * np.pi * np.arange(c) / c)) / 2
+    return np.sort(lam.ravel())[::-1]
+
+
+def hypercube_spectrum(d: int) -> np.ndarray:
+    """S's eigenvalues on hypercube_graph(d), descending: 1 - 2i/d with
+    multiplicity C(d, i)."""
+    return np.repeat(1 - 2 * np.arange(d + 1) / d, [math.comb(d, i) for i in range(d + 1)])
+
+
+def cycle_product_spectrum(w: WeightedGraph, r: int) -> np.ndarray:
+    """S's eigenvalues on cycle_product_graph(w, r), r >= 3, descending, by
+    separation of variables: the union over j < r of the eigenvalues of
+    (D + 2)^-1/2 (A + 2 cos(2 pi j / r) I) (D + 2)^-1/2, with A and D the
+    0/1 adjacency and the degrees of w. Each is a dense solve of w's size."""
+    A = np.zeros((w.n, w.n))
+    A[w.rows, w.cols] = A[w.cols, w.rows] = 1.0
+    h = 1 / np.sqrt(A.sum(axis=1) + 2)
+    parts = [np.linalg.eigvalsh(h[:, None] * (A + 2 * np.cos(2 * np.pi * j / r) * np.eye(w.n)) * h)
+             for j in range(r)]
+    return np.sort(np.concatenate(parts))[::-1]
+
+
 def complete_graph(n: int) -> WeightedGraph:
     i, j = np.triu_indices(n, 1)
     return WeightedGraph(n, i, j, np.ones(i.size))
@@ -168,6 +197,13 @@ def ref_mm_header(lines: list[str], path) -> tuple[str, str]:
     return field, symmetry
 
 
+def check_ascii_numerals(tokens: list[str]) -> None:
+    """ValueError when a token holds "_" or a non-ASCII character, which
+    int() and float() would read as digits."""
+    if any("_" in t or not t.isascii() for t in tokens):
+        raise ValueError(tokens)
+
+
 def ref_mm_entries(path):
     """-> (n, symmetry, field, [(lineno, i, j, w)]) with 0-based i, j."""
     text = Path(path).read_text()
@@ -184,6 +220,7 @@ def ref_mm_entries(path):
             if len(toks) != 3:
                 raise ParseError("expected 'rows cols nnz'", line=lineno)
             try:
+                check_ascii_numerals(toks)
                 r, c, m = (int(t) for t in toks)
             except ValueError:
                 raise ParseError("non-integer size line", line=lineno) from None
@@ -196,6 +233,7 @@ def ref_mm_entries(path):
         if len(toks) != 3:
             raise ParseError("expected 'i j value'", line=lineno)
         try:
+            check_ascii_numerals(toks)
             i, j = int(toks[0]), int(toks[1])
             w = float(toks[2])
         except ValueError:
@@ -300,6 +338,7 @@ def ref_parse_migration(flows_path, populations_path) -> MigrationInput:
         if len(toks) != 2:
             raise ParseError("expected node_id,population", line=lineno)
         try:
+            check_ascii_numerals(toks)
             node = int(toks[0])
             pop = float(toks[1])
         except ValueError:

@@ -120,6 +120,20 @@ def test_parse_rejects_nonfinite_values(tmp_path, token):
         parse_migration(mm(tmp_path, flows, "flows.mtx"), pops)
 
 
+@pytest.mark.parametrize("token", ["\u0662.5", "2_5", "2.\u0665"])
+def test_non_standard_numerals_are_parse_errors(tmp_path, token, capsys):
+    # float() and int() also read digit separators and non-ASCII digits
+    # ("\u0662" is Arabic-Indic 2); the readers take ASCII numerals only
+    body = f"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 {token}\n"
+    path = mm(tmp_path, body)
+    with pytest.raises(ParseError, match=re.escape(f"line 4: bad entry '3 2 {token}'")):
+        parse_graph(path)
+    assert cli.main(["ipr", str(path), "--k", "2"]) == 2
+    assert "line 4: bad entry" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="line 3: bad entry"):
+        parse_graph(mm(tmp_path, body.replace("2 1 1.0", "2 \u0661 1.0")))
+
+
 def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_graph(mm(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n"))
@@ -133,10 +147,12 @@ def test_parse_error_carries_line_number(tmp_path):
          "unsupported symmetry skew-symmetric"),
         ("%%MatrixMarket matrix coordinate real symmetric\n% size next\n2 2 x\n2 1 1.0\n", 3,
          "non-integer size line"),
+        # int() alone would read "1_2" as 12
+        ("%%MatrixMarket matrix coordinate real symmetric\n1_2 12 3\n", 2, "non-integer size line"),
         ("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n", 2, "empty matrix"),
         ("%%MatrixMarket matrix coordinate real symmetric\n% only a comment\n", 2, "missing size line"),
     ],
-    ids=["skew_symmetric", "non_integer_size", "size_zero", "no_size_line"],
+    ids=["skew_symmetric", "non_integer_size", "separator_in_size", "size_zero", "no_size_line"],
 )
 def test_bad_preamble_names_its_line(tmp_path, body, line, message):
     with pytest.raises(ParseError, match=message) as exc:
@@ -456,6 +472,8 @@ def test_migration_memory_grows_with_nodes_and_flows_only(tmp_path):
         ("1,50,7", "expected node_id,population"),
         ("1,many", "bad population row '1,many'"),
         ("x1,50", "bad population row 'x1,50'"),
+        ("1,5_0", "bad population row '1,5_0'"),
+        ("1,\u0665", "bad population row '1,\u0665'"),  # Arabic-Indic 5
         ("3,50", "node 3 outside 0..2"),
         ("0,50", "duplicate population for node 0"),
     ],
@@ -475,6 +493,9 @@ def test_bad_population_row_names_its_line(tmp_path, row, message):
         ("1", "expected node_id,group_id[,subgroup_id]"),
         ("1,a", "bad label row '1,a'"),
         ("9,a", "bad label row '9,a'"),
+        ("1,\u0663", "bad label row '1,\u0663'"),  # Arabic-Indic 3
+        ("1_0,0", "bad label row '1_0,0'"),
+        ("1,0,\uff11", "bad label row '1,0,\uff11'"),  # fullwidth 1
         ("3,0", "node 3 outside 0..2"),
         ("0,2", "duplicate label for node 0"),
     ],
@@ -677,7 +698,7 @@ def test_report_is_written_when_no_process_can_be_forked(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     fds = len(os.listdir("/proc/self/fd"))
     written = emit_report(report, tmp_path / "here")
-    assert len(os.listdir("/proc/self/fd")) == fds  # the unused pipe is closed
+    assert len(os.listdir("/proc/self/fd")) == fds  # a failed fork leaks no descriptor
     assert [p.name for p in written] == [p.name for p in forked]
     for p in forked:
         assert p.read_bytes() == (tmp_path / "here" / p.name).read_bytes(), p.name

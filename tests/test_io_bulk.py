@@ -208,7 +208,7 @@ def test_bulk_parse_matches_reference_on_defects(tmp_path, text):
         "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 1 1.0\n1 2 2.0\n2 1 1.0\n",
         "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 1 1.0\n2 1 1.0\n1 2 2.0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1.0\n3 3 -1.0\n3 2 x\n",
-        # only int() and float() read these: same graph as the line scan
+        # int() and float() would read these; both readers reject them
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1_0\n3 2 1.0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 ١\n",
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n",

@@ -401,10 +401,10 @@ def test_lanczos_blocks_match_normalized_adjacency(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
-def test_lanczos_operator_products_match_csr_matrix(seed, r):
-    # the solver multiplies by its CSR arrays without scipy.sparse; a vector
-    # and a block, F-ordered or C-ordered, give csr_matrix's product bit for bit
+@given(st.integers(0, 2**32 - 1))
+def test_lanczos_operator_products_match_csr_matrix(seed):
+    # the solver multiplies by its CSR arrays without scipy.sparse, one
+    # vector at a time, and gets csr_matrix's product bit for bit
     from eigenloc.eigensolver import _CSROperator
 
     rng = np.random.default_rng(seed)
@@ -412,10 +412,8 @@ def test_lanczos_operator_products_match_csr_matrix(seed, r):
     S = normalized_adjacency(g).matrix
     A = _CSROperator(g.n, S.data, S.indices, S.indptr)
     x = rng.standard_normal(g.n)
-    X = np.asfortranarray(rng.standard_normal((g.n, r)))
-    for operand in (x, X, np.ascontiguousarray(X), X[:, :1]):
-        a, b = A @ operand, S @ operand
-        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    a, b = A @ x, S @ x
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
